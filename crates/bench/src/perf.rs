@@ -285,11 +285,14 @@ pub fn resident_bytes() -> Option<u64> {
 /// this process. Spin-then-yield waiting pays one voluntary switch per poll
 /// round — the scheduler tax that stays visible even when a single core is
 /// saturated either way. Threads that already exited are not counted, so
-/// call this while workers are still alive.
+/// call this while workers are still alive; a thread that exits during the
+/// walk is skipped, not an error.
 pub fn context_switches() -> Option<u64> {
     let mut total = 0u64;
-    for task in std::fs::read_dir("/proc/self/task").ok()? {
-        let status = std::fs::read_to_string(task.ok()?.path().join("status")).ok()?;
+    for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+        let Ok(status) = std::fs::read_to_string(task.path().join("status")) else {
+            continue;
+        };
         for line in status.lines() {
             if line.starts_with("voluntary_ctxt_switches")
                 || line.starts_with("nonvoluntary_ctxt_switches")

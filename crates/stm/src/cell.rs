@@ -13,10 +13,14 @@
 //!   the counters, prices and keys the paper's word-based STM workloads
 //!   are made of.
 //! * **Epoch-reclaimed box** — for everything else: an atomic pointer to a
-//!   heap value. Readers pin an epoch, load the pointer and clone the
-//!   value out; writers swap in a freshly allocated value at commit and
-//!   defer destruction of the old one until all pinned readers have moved
-//!   on (see `vendor/crossbeam` and DESIGN.md §7).
+//!   heap value. Readers load the pointer under an epoch pin and borrow
+//!   the value for as long as the pin lasts; writers swap in a freshly
+//!   allocated value at commit and defer destruction of the old one until
+//!   all pinned readers have moved on (see `vendor/crossbeam` and
+//!   DESIGN.md §7). A transaction attempt pins once, at its first boxed
+//!   load, and holds the pin to its end (`ValueCell::load_in` with an
+//!   `AttemptPin`), so its loads are plain acquire loads;
+//!   `ValueCell::load` pins for one snapshot read.
 //!
 //! Neither path acquires a mutex or rwlock. Combined with the orec
 //! validate-read-validate protocol this gives torn-read-free, safe
@@ -24,16 +28,17 @@
 //!
 //! This load path is what makes the lock-free read-only mode
 //! ([`TmRuntime::read_only`](crate::TmRuntime::read_only)) possible: a
-//! `ReadTx` read is exactly `orec snapshot → ValueCell::load → orec
+//! `ReadTx` read is exactly `orec snapshot → ValueCell::load_in → orec
 //! re-snapshot`, with no shared-state write anywhere on the path.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem::{self, ManuallyDrop};
 use std::ptr;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crossbeam::epoch::{self, Atomic, Owned};
+use crossbeam::epoch::{self, Atomic, Guard, Owned};
 
 /// Inline storage budget: up to this many 8-byte words.
 const INLINE_WORDS: usize = 4;
@@ -80,17 +85,32 @@ impl<T: Clone + Send + Sync + 'static> ValueCell<T> {
         matches!(self.repr, Repr::Inline(_))
     }
 
-    /// Clones the current value out.
+    /// Clones the current value out, pinning for this one read on the boxed
+    /// path.
     #[inline]
     pub(crate) fn load(&self) -> T {
+        self.load_in(&AttemptPin::default()).into_owned()
+    }
+
+    /// Reads the current value under `pin`, the caller's attempt pin: a
+    /// borrow of the installed value on the boxed path (one acquire load
+    /// once the attempt is pinned — no clone, no shared write), a validated
+    /// copy on the inline path, whose words a later store overwrites in
+    /// place and which therefore never needs the pin.
+    #[inline]
+    pub(crate) fn load_in<'a>(&'a self, pin: &'a AttemptPin) -> Loaded<'a, T> {
         match &self.repr {
-            Repr::Inline(cell) => cell.load(),
+            Repr::Inline(cell) => Loaded::Copied(cell.load()),
             Repr::Boxed(ptr) => {
-                let guard = epoch::pin();
-                let shared = ptr.load(Ordering::Acquire, &guard);
-                // SAFETY: the pointer is never null after construction and
-                // the pinned epoch keeps the pointee alive for the clone.
-                unsafe { shared.deref().clone() }
+                let guard = pin.guard();
+                // SAFETY: the pointer is never null after construction. The
+                // pointee stays allocated for `'a`: while it is installed
+                // the cell (borrowed for `'a`) owns it, and once a store
+                // swaps it out it is only retired, and `guard` (held by
+                // `pin`, borrowed for `'a`) pinned this thread before the
+                // load, so the two-epoch grace cannot elapse while the
+                // borrow lives.
+                Loaded::Borrowed(unsafe { ptr.load(Ordering::Acquire, guard).deref() })
             }
         }
     }
@@ -111,6 +131,63 @@ impl<T: Clone + Send + Sync + 'static> ValueCell<T> {
                     guard.defer_destroy(old);
                 }
             }
+        }
+    }
+}
+
+/// One transaction attempt's epoch pin: taken at the attempt's first load
+/// from a boxed cell and held until the attempt drops, so every later load
+/// is a plain acquire load and every borrowed value outlives concurrent
+/// replacement. An attempt that only touches inline cells never pins.
+/// Conflict waits inside the attempt (a spin or nap on a locked stripe)
+/// hold the pin; the backoff or park between attempts does not, because
+/// the attempt, and with it this pin, is dropped first.
+#[derive(Default)]
+pub(crate) struct AttemptPin(OnceCell<Guard>);
+
+impl AttemptPin {
+    #[inline]
+    fn guard(&self) -> &Guard {
+        self.0.get_or_init(epoch::pin)
+    }
+}
+
+/// One value read by [`ValueCell::load_in`]: borrowed from a boxed cell,
+/// or copied out of an inline one.
+pub(crate) enum Loaded<'a, T> {
+    Borrowed(&'a T),
+    Copied(T),
+}
+
+impl<'a, T: Clone> Loaded<'a, T> {
+    /// The value, owned: a clone of a borrow, or the copy itself.
+    #[inline]
+    pub(crate) fn into_owned(self) -> T {
+        match self {
+            Loaded::Borrowed(value) => value.clone(),
+            Loaded::Copied(value) => value,
+        }
+    }
+
+    /// The borrowed value. Using this for an inline-stored `T` is a compile
+    /// error, so no call can meet the `Copied` arm at run time.
+    #[inline]
+    pub(crate) fn into_ref(self) -> &'a T {
+        const {
+            assert!(
+                !use_inline::<T>(),
+                "read_ref needs a boxed value type: this one is stored inline \
+                 (no drop glue, at most 32 bytes), so read it by copy with `read`"
+            );
+        }
+        match self {
+            Loaded::Borrowed(value) => value,
+            // SAFETY: `load_in` yields `Copied` only for an inline cell,
+            // `ValueCell::new` builds an inline cell exactly when
+            // `use_inline::<T>()`, and the const assertion above rejects
+            // that `T` at compile time. A buffered write is always
+            // `Borrowed`.
+            Loaded::Copied(_) => unsafe { std::hint::unreachable_unchecked() },
         }
     }
 }

@@ -507,8 +507,10 @@ impl TmRuntime {
     /// and returns its result.
     ///
     /// The body receives a [`ReadTx`]: a reader that snapshots the global
-    /// clock once, reads versioned cells through the lock-free
-    /// `ValueCell::load` path and revalidates per read. Compared to
+    /// clock once, pins one reclamation epoch for the attempt, reads
+    /// versioned cells by acquire load under that pin (by clone with
+    /// [`ReadTx::read`], by reference with [`ReadTx::read_ref`]) and
+    /// revalidates per read. Compared to
     /// [`run`](TmRuntime::run) with a non-writing body, `read_only` skips
     /// everything writer-facing:
     ///
@@ -619,7 +621,10 @@ impl TmRuntime {
                     // A concurrent writer invalidated the snapshot (or the
                     // body asked to restart). Not an abort — no lock was
                     // held, no writer was harmed. Grant the writer a short
-                    // pause, then re-run on a fresh snapshot.
+                    // pause, then re-run on a fresh snapshot. The attempt
+                    // ends first, so its epoch pin is not held across the
+                    // pause.
+                    drop(tx);
                     ctx.ro_revalidations.fetch_add(1, Ordering::Relaxed);
                     if attempts >= max_attempts {
                         return Err(TmError::RetryLimitExceeded { attempts });

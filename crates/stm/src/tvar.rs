@@ -10,7 +10,7 @@ use crate::varid::VarId;
 /// Marker trait for types that can live in a [`TVar`].
 ///
 /// Blanket-implemented; listed explicitly so the requirements show up in
-/// one place: values are cloned out on read, sent across threads by the
+/// one place: values are cloned out by `read`, sent across threads by the
 /// commit protocol, and (on the boxed storage path) destroyed by deferred
 /// epoch reclamation, possibly on another thread.
 pub trait TxValue: Clone + Send + Sync + 'static {}
@@ -64,15 +64,19 @@ impl<T> TVarInner<T> {
 /// transactions.
 ///
 /// `TVar<T>` is a cheap handle (an `Arc` internally); clone it freely to
-/// share between threads. For large payloads store an `Arc<Payload>` inside
-/// the `TVar` so that reads clone a pointer, not the payload.
+/// share between threads. To read a large payload without copying it, use
+/// [`TxRead::read_ref`](crate::TxRead::read_ref): it borrows the committed
+/// value in place for the rest of the attempt, where
+/// [`read`](crate::TxRead::read) clones it.
 ///
 /// Three read paths, in increasing consistency: [`TVar::snapshot`] (latest
 /// committed value, no cross-variable consistency),
 /// [`TmRuntime::read_only`](crate::TmRuntime::read_only) (consistent
 /// multi-variable snapshot, lock-free, no locks taken), and a full
 /// [`TmRuntime::run`](crate::TmRuntime::run) transaction (consistent and
-/// composable with writes/blocking).
+/// composable with writes/blocking). Inside either transaction kind,
+/// `read` returns a clone and `read_ref` a borrow of the same validated
+/// value.
 ///
 /// # Examples
 ///

@@ -12,10 +12,13 @@
 //! * commit stamps a fresh clock value, validates the read log once more and
 //!   installs buffered values.
 //!
-//! Value snapshots (`ValueCell::load`) are lock-free on both storage paths
-//! (inline seqlock or epoch-pinned pointer load; see DESIGN.md §7), so the
-//! per-read cost on top of them is exactly the orec snapshot/validate pair
+//! An attempt pins one reclamation epoch at its first boxed read and holds
+//! it to the end, so a value load (`ValueCell::load_in`) is an acquire load
+//! that *borrows* a boxed value or copies an inline one (DESIGN.md §7). The
+//! per-read cost on top of it is exactly the orec snapshot/validate pair
 //! below — the overhead budget the paper's ~13 % Shrink figure rides on.
+//! Each transaction kind has one read protocol (`read_loaded`):
+//! [`TxRead::read_ref`] returns its borrow and [`TxRead::read`] clones it.
 //!
 //! Backend differences (see [`BackendKind`]):
 //!
@@ -29,12 +32,14 @@
 //!   locking with suicide resolution).
 
 use std::any::Any;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::backoff::{parked_nap_due, pause, PARK_NAP};
+use crate::cell::{AttemptPin, Loaded};
 use crate::config::{BackendKind, CmPolicy, TxnKind, WaitPolicy};
 use crate::error::{Abort, AbortReason, TxResult};
 use crate::faults::FaultSite;
@@ -50,6 +55,50 @@ use crate::varid::VarId;
 struct ReadEntry {
     orec: usize,
     version: u64,
+}
+
+/// An attempt log appended through `&self`, so a read can record itself
+/// while values borrowed by earlier reads are still alive. `Log` is
+/// `!Sync`, so only the owning thread reaches the vector, and no method
+/// keeps a reference into it past its own body — that is what makes each
+/// access below exclusive. Entries are `Copy`, so dropping them cannot run
+/// code that reaches back into the log. (A `Cell` take-and-put costs a
+/// measurable few nanoseconds per read on the hot path; this does not.)
+struct Log<T: Copy>(UnsafeCell<Vec<T>>);
+
+impl<T: Copy> Log<T> {
+    fn new() -> Self {
+        Log(UnsafeCell::new(Vec::new()))
+    }
+
+    #[inline]
+    fn push(&self, item: T) {
+        // SAFETY: exclusive for this statement (see the type docs); `push`
+        // cannot re-enter this log.
+        unsafe { (*self.0.get()).push(item) }
+    }
+
+    /// Runs `f` over the entries. The vector is moved out while `f` runs,
+    /// so even an `f` that pushed to this log could not alias it (its
+    /// entries would be dropped).
+    #[inline]
+    fn with<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
+        // SAFETY: exclusive for this statement (see the type docs).
+        let items = std::mem::take(unsafe { &mut *self.0.get() });
+        let out = f(&items);
+        // SAFETY: exclusive for this statement; `f` has returned.
+        unsafe { *self.0.get() = items };
+        out
+    }
+
+    fn len(&self) -> usize {
+        // SAFETY: a shared read for this statement (see the type docs).
+        unsafe { (*self.0.get()).len() }
+    }
+
+    fn take(&mut self) -> Vec<T> {
+        std::mem::take(self.0.get_mut())
+    }
 }
 
 /// A buffered write that can be installed at commit.
@@ -123,15 +172,16 @@ pub(crate) struct ForeignAccess {
 ///
 /// Handed to the body closure by [`TmRuntime::run`](crate::TmRuntime::run);
 /// all transactional operations return [`TxResult`] so the body can
-/// propagate aborts with `?`.
+/// propagate aborts with `?`. An attempt holds its thread's epoch pin
+/// until it drops, so it stays on the thread that began it (`!Send`).
 pub struct Tx<'rt> {
     rt: &'rt RuntimeInner,
     ctx: &'rt ThreadCtx,
     me: ThreadId,
-    start_ts: u64,
-    read_log: Vec<ReadEntry>,
+    start_ts: Cell<u64>,
+    read_log: Log<ReadEntry>,
     /// Every dynamic read, in order (may contain duplicates).
-    read_vars: Vec<VarId>,
+    read_vars: Log<VarId>,
     write_log: Vec<Box<dyn PendingWrite>>,
     /// Distinct written variables, in first-write order.
     write_vars: Vec<VarId>,
@@ -141,8 +191,12 @@ pub struct Tx<'rt> {
     /// Active [`or_else`](Tx::or_else) rollback points, innermost last.
     checkpoints: Vec<Checkpoint>,
     /// Set when the body touched a `TVar` bound to another runtime.
-    foreign: Option<ForeignAccess>,
+    foreign: Cell<Option<ForeignAccess>>,
     finished: bool,
+    /// The attempt's epoch pin, held from the first boxed read to drop: it
+    /// keeps every value [`read_ref`](Tx::read_ref) borrowed alive even
+    /// after a concurrent commit retires it.
+    pin: AttemptPin,
 }
 
 impl<'rt> Tx<'rt> {
@@ -154,17 +208,18 @@ impl<'rt> Tx<'rt> {
             rt,
             ctx,
             me: ctx.id(),
-            start_ts: rt.clock.now(),
-            read_log: Vec::new(),
-            read_vars: Vec::new(),
+            start_ts: Cell::new(rt.clock.now()),
+            read_log: Log::new(),
+            read_vars: Log::new(),
             write_log: Vec::new(),
             write_vars: Vec::new(),
             write_index: HashMap::new(),
             owned_orecs: HashSet::new(),
             owned_order: Vec::new(),
             checkpoints: Vec::new(),
-            foreign: None,
+            foreign: Cell::new(None),
             finished: false,
+            pin: AttemptPin::default(),
         }
     }
 
@@ -185,7 +240,7 @@ impl<'rt> Tx<'rt> {
 
     /// The snapshot timestamp the attempt currently validates against.
     pub fn start_timestamp(&self) -> u64 {
-        self.start_ts
+        self.start_ts.get()
     }
 
     /// Requests an abort-and-retry of this attempt.
@@ -416,14 +471,14 @@ impl<'rt> Tx<'rt> {
     /// striping and retry waitlists are per-runtime; see
     /// [`TmError::ForeignTVar`](crate::error::TmError)).
     #[inline]
-    fn check_owner<T>(&mut self, inner: &TVarInner<T>) -> TxResult<()> {
+    fn check_owner<T>(&self, inner: &TVarInner<T>) -> TxResult<()> {
         match inner.bind_owner(self.rt.id) {
             Ok(()) => Ok(()),
             Err(owner) => {
-                self.foreign = Some(ForeignAccess {
+                self.foreign.set(Some(ForeignAccess {
                     var: inner.id,
                     owner,
-                });
+                }));
                 Err(Abort::new(AbortReason::ForeignTVar))
             }
         }
@@ -432,30 +487,81 @@ impl<'rt> Tx<'rt> {
     /// The rejected cross-runtime access, when the last abort was
     /// [`AbortReason::ForeignTVar`].
     pub(crate) fn foreign_access(&self) -> Option<ForeignAccess> {
-        self.foreign
+        self.foreign.get()
     }
 
-    /// Transactionally reads `tvar`.
+    /// Transactionally reads `tvar`: a clone of what
+    /// [`read_ref`](Tx::read_ref) would borrow (values stored inline are
+    /// copied out of their seqlock instead).
     ///
     /// # Errors
     ///
     /// Aborts (for the retry loop to handle) on validation failure, lock
     /// wait timeout, or a contention-manager kill.
-    pub fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+    pub fn read<T: TxValue>(&self, tvar: &TVar<T>) -> TxResult<T> {
+        self.read_loaded(tvar).map(Loaded::into_owned)
+    }
+
+    /// Transactionally reads `tvar` by reference: the committed value, or
+    /// this attempt's buffered write to it, borrowed for as long as the
+    /// transaction is borrowed. The attempt's epoch pin keeps the value
+    /// alive even if a concurrent commit replaces it; nothing is cloned and
+    /// no reference count moves. A later [`write`](Tx::write) needs
+    /// `&mut self`, so it ends every such borrow first.
+    ///
+    /// Only for types stored boxed (see [`TVar::uses_inline_storage`]);
+    /// small dropless types are rejected at compile time, read them with
+    /// [`read`](Tx::read):
+    ///
+    /// ```compile_fail
+    /// use shrink_stm::{TmRuntime, TVar};
+    ///
+    /// let rt = TmRuntime::new();
+    /// let v = TVar::new(1u64);
+    /// rt.run(|tx| tx.read_ref(&v).copied());
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Tx::read).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use shrink_stm::{TmRuntime, TVar};
+    ///
+    /// let rt = TmRuntime::new();
+    /// let names = TVar::new(vec![String::from("ada"), String::from("bob")]);
+    /// let longest = rt.run(|tx| {
+    ///     let names = tx.read_ref(&names)?;
+    ///     Ok(names.iter().map(String::len).max())
+    /// });
+    /// assert_eq!(longest, Some(3));
+    /// ```
+    pub fn read_ref<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<&'a T> {
+        self.read_loaded(tvar).map(Loaded::into_ref)
+    }
+
+    /// The read protocol: read-own-write, else a validated load of the
+    /// committed value under the attempt's pin.
+    fn read_loaded<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<Loaded<'a, T>> {
         self.check_kill()?;
         self.check_owner(&tvar.inner)?;
         self.ctx.bump_accesses();
         let var = tvar.inner.id;
 
-        // Read-own-write.
-        if let Some(&i) = self.write_index.get(&var) {
-            let w = self.write_log[i]
+        // Read-own-write. The entry for `var` was created by `write::<T>`
+        // on this very variable, so the downcast always matches.
+        let buffered = self.write_index.get(&var).and_then(|&i| {
+            self.write_log
+                .get(i)?
                 .as_any()
                 .downcast_ref::<TypedWrite<T>>()
-                .expect("write log entry type mismatch");
+        });
+        if let Some(w) = buffered {
             self.read_vars.push(var);
             self.rt.scheduler.on_read(&self.sched_ctx(), var);
-            return Ok(w.value.clone());
+            return Ok(Loaded::Borrowed(&w.value));
         }
 
         let idx = self.rt.orecs.index_of(var);
@@ -470,8 +576,10 @@ impl<'rt> Tx<'rt> {
                 // other variable. Buffered writes install only at commit, so
                 // the cell still holds the committed value, guarded by the
                 // preserved pre-lock version.
-                let value = tvar.inner.cell.load();
-                if s1.version() > self.start_ts {
+                // No commit can reach a stripe this attempt holds, so unlike
+                // the paths below the pair stays current across an extension.
+                let value = tvar.inner.cell.load_in(&self.pin);
+                if s1.version() > self.start_ts.get() {
                     self.extend()?;
                 }
                 self.record_read(idx, s1.version(), var);
@@ -497,14 +605,17 @@ impl<'rt> Tx<'rt> {
                         }
                         // Owner still executing: its writes are buffered, so
                         // the committed value is still in the cell.
-                        let value = tvar.inner.cell.load();
+                        let value = tvar.inner.cell.load_in(&self.pin);
                         let s2 = orec.snapshot();
                         if s2 != s1 {
                             spins += 1;
                             continue;
                         }
-                        if s1.version() > self.start_ts {
+                        if s1.version() > self.start_ts.get() {
+                            // Re-read after extending, as below.
                             self.extend()?;
+                            spins += 1;
+                            continue;
                         }
                         self.record_read(idx, s1.version(), var);
                         return Ok(value);
@@ -527,14 +638,24 @@ impl<'rt> Tx<'rt> {
             }
 
             // Unlocked: load, then confirm the orec did not move under us.
-            let value = tvar.inner.cell.load();
+            let value = tvar.inner.cell.load_in(&self.pin);
             let s2 = orec.snapshot();
             if s2 != s1 {
                 spins += 1;
                 continue;
             }
-            if s1.version() > self.start_ts {
+            if s1.version() > self.start_ts.get() {
+                // The extension proves the read log valid at a newer
+                // timestamp, but `value`/`s1` were sampled before it read
+                // the clock: a commit to this stripe in between would put a
+                // stale entry under the new timestamp, and commit skips
+                // revalidation when `commit_ts == start_ts + 1` — a lost
+                // update if this attempt then writes the variable. Re-read
+                // under the advanced timestamp instead (the same restart
+                // `ReadTx` does, DESIGN.md §10.1).
                 self.extend()?;
+                spins += 1;
+                continue;
             }
             self.record_read(idx, s1.version(), var);
             return Ok(value);
@@ -542,7 +663,7 @@ impl<'rt> Tx<'rt> {
     }
 
     #[inline]
-    fn record_read(&mut self, orec: usize, version: u64, var: VarId) {
+    fn record_read(&self, orec: usize, version: u64, var: VarId) {
         self.read_log.push(ReadEntry { orec, version });
         self.read_vars.push(var);
         self.rt.scheduler.on_read(&self.sched_ctx(), var);
@@ -682,7 +803,7 @@ impl<'rt> Tx<'rt> {
                 continue;
             }
 
-            if s1.version() > self.start_ts {
+            if s1.version() > self.start_ts.get() {
                 self.extend()?;
             }
             if orec.try_lock(s1, self.me) {
@@ -699,10 +820,10 @@ impl<'rt> Tx<'rt> {
 
     /// Revalidates the read log and, on success, moves the snapshot forward
     /// to the current clock (TinySTM-style timestamp extension).
-    fn extend(&mut self) -> TxResult<()> {
+    fn extend(&self) -> TxResult<()> {
         let candidate = self.rt.clock.now();
         if self.read_log_valid() {
-            self.start_ts = candidate;
+            self.start_ts.set(candidate);
             Ok(())
         } else {
             Err(Abort::new(AbortReason::ReadValidation))
@@ -725,9 +846,10 @@ impl<'rt> Tx<'rt> {
     }
 
     fn read_log_valid(&self) -> bool {
-        self.read_log
-            .iter()
-            .all(|e| self.entry_valid(e, self.rt.orecs.at(e.orec).snapshot()))
+        self.read_log.with(|log| {
+            log.iter()
+                .all(|e| self.entry_valid(e, self.rt.orecs.at(e.orec).snapshot()))
+        })
     }
 
     /// Attempts to commit. On success the buffered writes are installed and
@@ -745,7 +867,7 @@ impl<'rt> Tx<'rt> {
             self.rt.orecs.at(idx).begin_commit(self.me);
         }
         let commit_ts = self.rt.clock.tick();
-        if commit_ts > self.start_ts + 1 && !self.read_log_valid() {
+        if commit_ts > self.start_ts.get() + 1 && !self.read_log_valid() {
             return Err(Abort::new(AbortReason::CommitValidation));
         }
         // Mid-commit hazard window: commit locks are held and validation
@@ -791,10 +913,7 @@ impl<'rt> Tx<'rt> {
 
     /// Extracts the access logs for the scheduler hooks.
     pub(crate) fn take_logs(&mut self) -> (Vec<VarId>, Vec<VarId>) {
-        (
-            std::mem::take(&mut self.read_vars),
-            std::mem::take(&mut self.write_vars),
-        )
+        (self.read_vars.take(), std::mem::take(&mut self.write_vars))
     }
 
     /// The `(stripe, observed version)` pairs a retrying attempt must park
@@ -802,8 +921,9 @@ impl<'rt> Tx<'rt> {
     /// [`rollback`](Tx::rollback) — released stripes carry their pre-lock
     /// versions again, so the observed versions below are live.
     pub(crate) fn retry_wait_plan(&self) -> Vec<(usize, u64)> {
-        let mut plan: Vec<(usize, u64)> =
-            self.read_log.iter().map(|e| (e.orec, e.version)).collect();
+        let mut plan: Vec<(usize, u64)> = self
+            .read_log
+            .with(|log| log.iter().map(|e| (e.orec, e.version)).collect());
         plan.sort_unstable();
         // A consistent read log holds one version per stripe (a version
         // moving mid-attempt forces extend-or-abort), so stripe dedup is
@@ -824,7 +944,7 @@ impl fmt::Debug for Tx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tx")
             .field("thread", &self.me)
-            .field("start_ts", &self.start_ts)
+            .field("start_ts", &self.start_ts.get())
             .field("reads", &self.read_vars.len())
             .field("writes", &self.write_vars.len())
             .finish()
@@ -840,10 +960,13 @@ impl fmt::Debug for Tx<'_> {
 /// The workload crates use it to route their lookup/traversal operations
 /// through either path.
 ///
-/// The trait has a generic method, so it is not object-safe; take it as a
+/// The trait has generic methods, so it is not object-safe; take it as a
 /// generic parameter (`fn lookup(tx: &mut impl TxRead, ...)`). A
 /// `&mut Tx<'_>` reborrows into such a parameter unchanged, so existing
 /// call sites keep compiling.
+///
+/// Both methods read through `&self`, so a traversal can hold borrowed
+/// values from [`read_ref`](TxRead::read_ref) while it reads further.
 ///
 /// # Examples
 ///
@@ -863,14 +986,55 @@ impl fmt::Debug for Tx<'_> {
 /// assert_eq!(rt.run(|tx| sum(tx, &vars)), 6); // read-write path
 /// assert_eq!(rt.read_only(|tx| sum(tx, &vars)), 6); // lock-free path
 /// ```
+///
+/// Following links by reference: each hop borrows the node in place, so
+/// the walk clones nothing and moves no reference count.
+///
+/// ```
+/// use shrink_stm::{TmRuntime, TVar, TxRead, TxResult};
+///
+/// #[derive(Clone)]
+/// struct Link {
+///     item: u64,
+///     next: Option<TVar<Link>>,
+/// }
+///
+/// fn total(tx: &impl TxRead, head: &TVar<Link>) -> TxResult<u64> {
+///     let mut sum = 0;
+///     let mut cur = Some(head);
+///     while let Some(var) = cur {
+///         let link = tx.read_ref(var)?;
+///         sum += link.item;
+///         cur = link.next.as_ref();
+///     }
+///     Ok(sum)
+/// }
+///
+/// let rt = TmRuntime::new();
+/// let tail = TVar::new(Link { item: 2, next: None });
+/// let head = TVar::new(Link { item: 1, next: Some(tail) });
+/// assert_eq!(rt.read_only(|tx| total(tx, &head)), 3);
+/// ```
 pub trait TxRead {
-    /// Transactionally reads `tvar`.
+    /// Transactionally reads `tvar`: a clone of what
+    /// [`read_ref`](TxRead::read_ref) would borrow, or a copy out of the
+    /// inline seqlock for small dropless types.
     ///
     /// # Errors
     ///
     /// Aborts (for the owning retry loop to handle) when the read cannot be
     /// added to a consistent snapshot.
-    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T>;
+    fn read<T: TxValue>(&self, tvar: &TVar<T>) -> TxResult<T>;
+
+    /// Transactionally reads `tvar` by reference, borrowed for as long as
+    /// the transaction is. The attempt's epoch pin keeps the value alive;
+    /// no clone, no reference-count change. Types stored inline are
+    /// rejected at compile time (see [`Tx::read_ref`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](TxRead::read).
+    fn read_ref<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<&'a T>;
 
     /// What this transaction declared itself to be.
     fn kind(&self) -> TxnKind;
@@ -892,8 +1056,12 @@ pub trait TxRead {
 }
 
 impl TxRead for Tx<'_> {
-    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+    fn read<T: TxValue>(&self, tvar: &TVar<T>) -> TxResult<T> {
         Tx::read(self, tvar)
+    }
+
+    fn read_ref<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<&'a T> {
+        Tx::read_ref(self, tvar)
     }
 
     fn kind(&self) -> TxnKind {
@@ -917,8 +1085,9 @@ impl TxRead for Tx<'_> {
 ///
 /// * the global clock is sampled **once** at begin (`start_ts`);
 /// * every read snapshots the guarding orec, loads the value through the
-///   lock-free [`ValueCell::load`](crate::cell::ValueCell) path, and
-///   re-snapshots to confirm the stripe did not move;
+///   lock-free `ValueCell::load_in` path under
+///   the attempt's epoch pin, and re-snapshots to confirm the stripe did
+///   not move;
 /// * a version newer than `start_ts` triggers a timestamp extension
 ///   (revalidate the whole read log against the current clock); a
 ///   successful extension **re-reads the stripe** under the advanced
@@ -948,15 +1117,17 @@ impl TxRead for Tx<'_> {
 pub struct ReadTx<'rt> {
     rt: &'rt RuntimeInner,
     me: ThreadId,
-    start_ts: u64,
-    read_log: Vec<ReadEntry>,
+    start_ts: Cell<u64>,
+    read_log: Log<ReadEntry>,
     /// Reads performed by this attempt (flushed to `ThreadCtx::ro_reads`).
-    reads: u64,
+    reads: Cell<u64>,
     /// Timestamp extensions performed by this attempt (flushed to
     /// `ThreadCtx::ro_revalidations`; restarts are counted by the driver).
-    revalidations: u64,
+    revalidations: Cell<u64>,
     /// Set when the body touched a `TVar` bound to another runtime.
-    foreign: Option<ForeignAccess>,
+    foreign: Cell<Option<ForeignAccess>>,
+    /// The attempt's epoch pin (see [`Tx`]).
+    pin: AttemptPin,
 }
 
 impl<'rt> ReadTx<'rt> {
@@ -964,18 +1135,19 @@ impl<'rt> ReadTx<'rt> {
         ReadTx {
             rt,
             me,
-            start_ts: rt.clock.now(),
-            read_log: Vec::new(),
-            reads: 0,
-            revalidations: 0,
-            foreign: None,
+            start_ts: Cell::new(rt.clock.now()),
+            read_log: Log::new(),
+            reads: Cell::new(0),
+            revalidations: Cell::new(0),
+            foreign: Cell::new(None),
+            pin: AttemptPin::default(),
         }
     }
 
     /// The rejected cross-runtime access, when the last abort was
     /// [`AbortReason::ForeignTVar`].
     pub(crate) fn foreign_access(&self) -> Option<ForeignAccess> {
-        self.foreign
+        self.foreign.get()
     }
 
     /// The id of the thread running this transaction.
@@ -985,7 +1157,7 @@ impl<'rt> ReadTx<'rt> {
 
     /// The snapshot timestamp the attempt currently validates against.
     pub fn start_timestamp(&self) -> u64 {
-        self.start_ts
+        self.start_ts.get()
     }
 
     /// Number of reads performed by this attempt.
@@ -1002,7 +1174,9 @@ impl<'rt> ReadTx<'rt> {
         Err(Abort::new(AbortReason::UserRestart))
     }
 
-    /// Reads `tvar` as part of the lock-free snapshot.
+    /// Reads `tvar` as part of the lock-free snapshot: a clone of what
+    /// [`read_ref`](ReadTx::read_ref) would borrow (values stored inline
+    /// are copied out of their seqlock instead).
     ///
     /// # Errors
     ///
@@ -1011,18 +1185,36 @@ impl<'rt> ReadTx<'rt> {
     /// the read set, or a committing installer outlasted the spin budget).
     /// [`TmRuntime::read_only`](crate::TmRuntime::read_only) catches this
     /// and restarts the body; it never surfaces to user code.
-    pub fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+    pub fn read<T: TxValue>(&self, tvar: &TVar<T>) -> TxResult<T> {
+        self.read_loaded(tvar).map(Loaded::into_owned)
+    }
+
+    /// Reads `tvar` by reference as part of the lock-free snapshot: the
+    /// value stays borrowed, alive under the attempt's epoch pin, for as
+    /// long as the transaction is borrowed. Nothing is cloned and no
+    /// shared cache line is written. Types stored inline are rejected at
+    /// compile time, as for [`Tx::read_ref`].
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](ReadTx::read).
+    pub fn read_ref<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<&'a T> {
+        self.read_loaded(tvar).map(Loaded::into_ref)
+    }
+
+    /// The snapshot read protocol (DESIGN.md §10.1).
+    fn read_loaded<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<Loaded<'a, T>> {
         // A foreign read would validate against the wrong runtime's orec
         // table — a torn multi-variable snapshot, not just a lost wakeup —
         // so the owner stamp is enforced on this path too.
         if let Err(owner) = tvar.inner.bind_owner(self.rt.id) {
-            self.foreign = Some(ForeignAccess {
+            self.foreign.set(Some(ForeignAccess {
                 var: tvar.inner.id,
                 owner,
-            });
+            }));
             return Err(Abort::new(AbortReason::ForeignTVar));
         }
-        self.reads += 1;
+        self.reads.set(self.reads.get() + 1);
         let idx = self.rt.orecs.index_of(tvar.inner.id);
         let mut spins: u32 = 0;
         loop {
@@ -1041,7 +1233,7 @@ impl<'rt> ReadTx<'rt> {
             }
             // Unlocked, or locked but not yet committing: the committed
             // value is still in the cell, guarded by the pre-lock version.
-            let value = tvar.inner.cell.load();
+            let value = tvar.inner.cell.load_in(&self.pin);
             let s2 = orec.snapshot();
             if s2 != s1 {
                 if spins >= self.rt.config.read_spin_budget {
@@ -1050,7 +1242,7 @@ impl<'rt> ReadTx<'rt> {
                 spins += 1;
                 continue;
             }
-            if s1.version() > self.start_ts {
+            if s1.version() > self.start_ts.get() {
                 self.extend()?;
                 // The extension proved the read log consistent at the new
                 // timestamp, but `value`/`s1` were sampled *before* extend
@@ -1076,15 +1268,17 @@ impl<'rt> ReadTx<'rt> {
     /// Revalidates the read log and, on success, moves the snapshot forward
     /// to the current clock — the same timestamp extension as the
     /// read-write path, minus any own-lock cases (a `ReadTx` holds none).
-    fn extend(&mut self) -> TxResult<()> {
-        self.revalidations += 1;
+    fn extend(&self) -> TxResult<()> {
+        self.revalidations.set(self.revalidations.get() + 1);
         let candidate = self.rt.clock.now();
-        let valid = self.read_log.iter().all(|e| {
-            let snap = self.rt.orecs.at(e.orec).snapshot();
-            !snap.committing() && snap.version() == e.version
+        let valid = self.read_log.with(|log| {
+            log.iter().all(|e| {
+                let snap = self.rt.orecs.at(e.orec).snapshot();
+                !snap.committing() && snap.version() == e.version
+            })
         });
         if valid {
-            self.start_ts = candidate;
+            self.start_ts.set(candidate);
             Ok(())
         } else {
             Err(Abort::new(AbortReason::ReadValidation))
@@ -1093,13 +1287,17 @@ impl<'rt> ReadTx<'rt> {
 
     /// The per-attempt counters, for the driver to flush into `ThreadCtx`.
     pub(crate) fn counters(&self) -> (u64, u64) {
-        (self.reads, self.revalidations)
+        (self.reads.get(), self.revalidations.get())
     }
 }
 
 impl TxRead for ReadTx<'_> {
-    fn read<T: TxValue>(&mut self, tvar: &TVar<T>) -> TxResult<T> {
+    fn read<T: TxValue>(&self, tvar: &TVar<T>) -> TxResult<T> {
         ReadTx::read(self, tvar)
+    }
+
+    fn read_ref<'a, T: TxValue>(&'a self, tvar: &'a TVar<T>) -> TxResult<&'a T> {
+        ReadTx::read_ref(self, tvar)
     }
 
     fn kind(&self) -> TxnKind {
@@ -1119,8 +1317,151 @@ impl fmt::Debug for ReadTx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReadTx")
             .field("thread", &self.me)
-            .field("start_ts", &self.start_ts)
+            .field("start_ts", &self.start_ts.get())
             .field("reads", &self.read_log.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use crate::runtime::{quiesce, TmRuntime};
+
+    /// Walks `parent → child` by reference and reports whether both
+    /// handles' reference counts still read `expected` while borrowed.
+    fn walk_keeps_counts(
+        tx: &impl TxRead,
+        parent: &TVar<Option<TVar<String>>>,
+        expected: (usize, usize),
+    ) -> TxResult<bool> {
+        let link = tx.read_ref(parent)?.as_ref().expect("linked");
+        let leaf = tx.read_ref(link)?;
+        let counts = (
+            Arc::strong_count(&parent.inner),
+            Arc::strong_count(&link.inner),
+        );
+        Ok(leaf == "leaf" && counts == expected)
+    }
+
+    #[test]
+    fn read_ref_moves_no_reference_count() {
+        let rt = TmRuntime::new();
+        let child = TVar::new(String::from("leaf"));
+        let parent = TVar::new(Some(child.clone()));
+        let counts = (
+            Arc::strong_count(&parent.inner),
+            Arc::strong_count(&child.inner),
+        );
+        assert!(rt.read_only(|tx| walk_keeps_counts(tx, &parent, counts)));
+        assert!(rt.run(|tx| walk_keeps_counts(tx, &parent, counts)));
+
+        // The owned read, by contrast, clones the embedded child handle.
+        let while_cloned = rt.read_only(|tx| {
+            let owned = tx.read(&parent)?;
+            Ok(owned.map(|c| Arc::strong_count(&c.inner)))
+        });
+        assert_eq!(while_cloned, Some(counts.1 + 1));
+    }
+
+    /// A value that records its own drop. A clone gets a fresh flag, so an
+    /// instance's flag flips only when that very instance is destroyed.
+    struct Canary {
+        id: u64,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl Canary {
+        fn new(id: u64) -> Self {
+            Canary {
+                id,
+                dropped: Arc::new(AtomicBool::new(false)),
+            }
+        }
+    }
+
+    impl Clone for Canary {
+        fn clone(&self) -> Self {
+            Canary::new(self.id)
+        }
+    }
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Borrows the canary, has another thread commit a replacement, drives
+    /// reclamation hard, and checks the borrowed instance is still alive.
+    fn hold_across_replacement(
+        tx: &impl TxRead,
+        rt: &TmRuntime,
+        var: &TVar<Canary>,
+    ) -> TxResult<(u64, Arc<AtomicBool>)> {
+        let held = tx.read_ref(var)?;
+        std::thread::scope(|s| {
+            s.spawn(|| rt.run(|w| w.write(var, Canary::new(held.id + 1))));
+        });
+        for _ in 0..16 {
+            quiesce();
+        }
+        assert!(
+            !held.dropped.load(Ordering::SeqCst),
+            "a borrowed value was reclaimed inside its attempt"
+        );
+        Ok((held.id, Arc::clone(&held.dropped)))
+    }
+
+    /// Reclamation waits for every pinned thread to move on, sibling
+    /// tests' attempts included: flush until the flag flips or time is up.
+    fn reclaimed(dropped: &AtomicBool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !dropped.load(Ordering::SeqCst) && Instant::now() < deadline {
+            quiesce();
+            std::thread::yield_now();
+        }
+        dropped.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn borrowed_value_outlives_its_replacement_until_the_attempt_ends() {
+        let rt = TmRuntime::new();
+        let var = TVar::new(Canary::new(1));
+
+        let (id, dropped) = rt.read_only(|tx| hold_across_replacement(tx, &rt, &var));
+        assert_eq!(id, 1);
+        assert!(
+            reclaimed(&dropped),
+            "read_only: not reclaimed after the attempt"
+        );
+
+        let (id, dropped) = rt.run(|tx| hold_across_replacement(tx, &rt, &var));
+        assert_eq!(id, 2);
+        assert!(reclaimed(&dropped), "run: not reclaimed after the attempt");
+    }
+
+    #[test]
+    fn read_ref_sees_buffered_writes_and_or_else_rollback() {
+        let rt = TmRuntime::new();
+        let v = TVar::new(String::from("committed"));
+        let got = rt.run(|tx| {
+            assert_eq!(tx.read_ref(&v)?, "committed");
+            tx.write(&v, String::from("first"))?;
+            assert_eq!(tx.read_ref(&v)?, "first");
+            tx.or_else(
+                |tx| {
+                    tx.write(&v, String::from("branch"))?;
+                    assert_eq!(tx.read_ref(&v)?, "branch");
+                    tx.retry()
+                },
+                |tx| Ok(tx.read_ref(&v)?.clone()),
+            )
+        });
+        assert_eq!(got, "first", "the retried branch's write must be undone");
+        assert_eq!(v.snapshot(), "first");
     }
 }

@@ -597,6 +597,7 @@ impl fmt::Debug for StripeWaitlist {
 mod tests {
     use super::*;
     use crate::thread::ThreadId;
+    use parking_lot::test_support::{is_asleep, kernel_tid};
     use std::time::Duration;
 
     fn table_with_version(stripe: usize, version: u64) -> OrecTable {
@@ -645,11 +646,13 @@ mod tests {
         let wl = Arc::new(StripeWaitlist::new(64));
         let orecs = Arc::new(table_with_version(3, 7));
         let parker = Arc::new(EventCount::new());
+        let (tid_tx, tid_rx) = std::sync::mpsc::channel();
         let waiter = {
             let wl = Arc::clone(&wl);
             let orecs = Arc::clone(&orecs);
             let parker = Arc::clone(&parker);
             std::thread::spawn(move || {
+                tid_tx.send(kernel_tid()).unwrap();
                 wl.wait(
                     &orecs,
                     &[(3, 7)],
@@ -658,9 +661,14 @@ mod tests {
                 )
             })
         };
-        // Deterministic handshake: the parker's own waiter count proves it
-        // is inside the futex path before the "commit" fires.
-        while parker.waiters() == 0 {
+        // Deterministic handshake: the "commit" must find the waiter
+        // provably asleep, or it would see no waiter bit and issue no futex
+        // wake. The waiter count is raised on entry to `wait_while_eq`,
+        // before the waiter bit; from there the only place the waiter can
+        // sleep is the futex wait after installing the bit, so state `S`
+        // observed after the count proves both.
+        let tid = tid_rx.recv().unwrap();
+        while parker.waiters() == 0 || !is_asleep(&tid) {
             std::thread::yield_now();
         }
         // Install the new version, then notify — commit order.

@@ -7,6 +7,11 @@
 //! path, updates additionally write the O(1)-amortized set of nodes touched
 //! by the CLRS rebalancing, so the conflict footprint matches the classic
 //! STM red-black-tree benchmarks.
+//!
+//! Searches and traversals walk by reference ([`TxRead::read_ref`]): each
+//! hop borrows the node in place, so a lookup clones no node and moves no
+//! reference count on the child links. Only the rebalancing paths, which
+//! rewrite nodes, read owned copies.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -23,6 +28,17 @@ struct Node {
     red: bool,
     left: Option<NodeVar>,
     right: Option<NodeVar>,
+}
+
+impl Node {
+    /// The child link a search for `key` follows from this node.
+    fn child(&self, key: u64) -> Option<&NodeVar> {
+        if key < self.key {
+            self.left.as_ref()
+        } else {
+            self.right.as_ref()
+        }
+    }
 }
 
 /// A shared handle to a tree node.
@@ -92,17 +108,36 @@ impl TxRbTree {
     ///
     /// Propagates transactional aborts.
     pub fn get(&self, tx: &mut impl TxRead, key: u64) -> TxResult<Option<u64>> {
-        let mut cur = tx.read(&self.root)?;
+        let tx = &*tx;
+        let mut cur = tx.read_ref(&self.root)?.as_ref();
         while let Some(nv) = cur {
-            let node = Self::read_node(tx, &nv)?;
+            let node = tx.read_ref(&nv.0)?;
             if key == node.key {
                 return Ok(Some(node.value));
             }
-            cur = if key < node.key {
-                node.left
-            } else {
-                node.right
-            };
+            cur = node.child(key);
+        }
+        Ok(None)
+    }
+
+    /// Descends from the root towards `key`, pushing every node passed on
+    /// the way onto `path`. Returns the node holding `key` (handle and an
+    /// owned copy to rewrite), or `None` with `path` ending at the parent
+    /// of the empty slot where `key` belongs.
+    fn search(
+        &self,
+        tx: &impl TxRead,
+        key: u64,
+        path: &mut Vec<NodeVar>,
+    ) -> TxResult<Option<(NodeVar, Node)>> {
+        let mut cur = tx.read_ref(&self.root)?.as_ref();
+        while let Some(nv) = cur {
+            let node = tx.read_ref(&nv.0)?;
+            if key == node.key {
+                return Ok(Some((nv.clone(), node.clone())));
+            }
+            path.push(nv.clone());
+            cur = node.child(key);
         }
         Ok(None)
     }
@@ -178,27 +213,10 @@ impl TxRbTree {
     pub fn insert(&self, tx: &mut Tx<'_>, key: u64, value: u64) -> TxResult<Option<u64>> {
         // Descend, recording the path.
         let mut path: Vec<NodeVar> = Vec::new();
-        let mut cur = tx.read(&self.root)?;
-        while let Some(nv) = cur {
-            let node = Self::read_node(tx, &nv)?;
-            if key == node.key {
-                let old = node.value;
-                Self::write_node(
-                    tx,
-                    &nv,
-                    Node {
-                        value,
-                        ..node.clone()
-                    },
-                )?;
-                return Ok(Some(old));
-            }
-            cur = if key < node.key {
-                node.left.clone()
-            } else {
-                node.right.clone()
-            };
-            path.push(nv);
+        if let Some((nv, node)) = self.search(tx, key, &mut path)? {
+            let old = node.value;
+            Self::write_node(tx, &nv, Node { value, ..node })?;
+            return Ok(Some(old));
         }
 
         let z = NodeVar::new(Node {
@@ -303,23 +321,8 @@ impl TxRbTree {
     pub fn remove(&self, tx: &mut Tx<'_>, key: u64) -> TxResult<Option<u64>> {
         // Descend to the node, recording the path (root .. z).
         let mut path: Vec<NodeVar> = Vec::new();
-        let mut cur = tx.read(&self.root)?;
-        let (z, zn) = loop {
-            match cur {
-                None => return Ok(None),
-                Some(nv) => {
-                    let node = Self::read_node(tx, &nv)?;
-                    if key == node.key {
-                        break (nv, node);
-                    }
-                    cur = if key < node.key {
-                        node.left.clone()
-                    } else {
-                        node.right.clone()
-                    };
-                    path.push(nv);
-                }
-            }
+        let Some((z, zn)) = self.search(tx, key, &mut path)? else {
+            return Ok(None);
         };
         let removed_value = zn.value;
 
@@ -498,17 +501,17 @@ impl TxRbTree {
     ///
     /// Propagates transactional aborts.
     pub fn len(&self, tx: &mut impl TxRead) -> TxResult<usize> {
-        fn count(tx: &mut impl TxRead, cur: Option<NodeVar>) -> TxResult<usize> {
+        fn count(tx: &impl TxRead, cur: Option<&NodeVar>) -> TxResult<usize> {
             match cur {
                 None => Ok(0),
                 Some(nv) => {
-                    let node = tx.read(&nv.0)?;
-                    Ok(1 + count(tx, node.left)? + count(tx, node.right)?)
+                    let node = tx.read_ref(&nv.0)?;
+                    Ok(1 + count(tx, node.left.as_ref())? + count(tx, node.right.as_ref())?)
                 }
             }
         }
-        let root = tx.read(&self.root)?;
-        count(tx, root)
+        let tx = &*tx;
+        count(tx, tx.read_ref(&self.root)?.as_ref())
     }
 
     /// True if the tree holds no keys.
@@ -517,7 +520,7 @@ impl TxRbTree {
     ///
     /// Propagates transactional aborts.
     pub fn is_empty(&self, tx: &mut impl TxRead) -> TxResult<bool> {
-        Ok(tx.read(&self.root)?.is_none())
+        Ok(tx.read_ref(&self.root)?.is_none())
     }
 
     /// All keys in ascending order (test/audit helper).
@@ -526,18 +529,18 @@ impl TxRbTree {
     ///
     /// Propagates transactional aborts.
     pub fn keys(&self, tx: &mut impl TxRead) -> TxResult<Vec<u64>> {
-        fn walk(tx: &mut impl TxRead, cur: Option<NodeVar>, out: &mut Vec<u64>) -> TxResult<()> {
+        fn walk(tx: &impl TxRead, cur: Option<&NodeVar>, out: &mut Vec<u64>) -> TxResult<()> {
             if let Some(nv) = cur {
-                let node = tx.read(&nv.0)?;
-                walk(tx, node.left, out)?;
+                let node = tx.read_ref(&nv.0)?;
+                walk(tx, node.left.as_ref(), out)?;
                 out.push(node.key);
-                walk(tx, node.right, out)?;
+                walk(tx, node.right.as_ref(), out)?;
             }
             Ok(())
         }
+        let tx = &*tx;
         let mut out = Vec::new();
-        let root = tx.read(&self.root)?;
-        walk(tx, root, &mut out)?;
+        walk(tx, tx.read_ref(&self.root)?.as_ref(), &mut out)?;
         Ok(out)
     }
 
@@ -552,8 +555,8 @@ impl TxRbTree {
     pub fn check_invariants(&self, tx: &mut impl TxRead) -> TxResult<Result<usize, String>> {
         // Returns (black_height, count) or an error description.
         fn audit(
-            tx: &mut impl TxRead,
-            cur: Option<NodeVar>,
+            tx: &impl TxRead,
+            cur: Option<&NodeVar>,
             low: Option<u64>,
             high: Option<u64>,
             parent_red: bool,
@@ -561,7 +564,7 @@ impl TxRbTree {
             let Some(nv) = cur else {
                 return Ok(Ok((1, 0))); // nil leaves are black
             };
-            let node = tx.read(&nv.0)?;
+            let node = tx.read_ref(&nv.0)?;
             if let Some(lo) = low {
                 if node.key <= lo {
                     return Ok(Err(format!("BST order violated at key {}", node.key)));
@@ -575,8 +578,8 @@ impl TxRbTree {
             if parent_red && node.red {
                 return Ok(Err(format!("red-red violation at key {}", node.key)));
             }
-            let left = audit(tx, node.left.clone(), low, Some(node.key), node.red)?;
-            let right = audit(tx, node.right.clone(), Some(node.key), high, node.red)?;
+            let left = audit(tx, node.left.as_ref(), low, Some(node.key), node.red)?;
+            let right = audit(tx, node.right.as_ref(), Some(node.key), high, node.red)?;
             Ok(match (left, right) {
                 (Ok((lb, lc)), Ok((rb, rc))) => {
                     if lb != rb {
@@ -591,9 +594,10 @@ impl TxRbTree {
                 (Err(e), _) | (_, Err(e)) => Err(e),
             })
         }
-        let root = tx.read(&self.root)?;
-        if let Some(rv) = &root {
-            if tx.read(&rv.0)?.red {
+        let tx = &*tx;
+        let root = tx.read_ref(&self.root)?.as_ref();
+        if let Some(rv) = root {
+            if tx.read_ref(&rv.0)?.red {
                 return Ok(Err("root is red".to_string()));
             }
         }

@@ -25,11 +25,24 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crossbeam::epoch::{self, Atomic, Owned};
 use shrink::prelude::*;
 use shrink::stm::quiesce;
+
+mod common;
+use common::ReadersUp;
+
+/// Every test in this binary holds this lock for its whole body. The
+/// global epoch is process-wide and a transaction attempt holds its pin
+/// for the whole attempt, so a sibling test's pinned thread would block
+/// the epoch advances that `quiesce_until_live` counts on.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Stress scaling: 1 in normal runs, larger under `SHRINK_STRESS=1`.
 fn stress_factor() -> usize {
@@ -143,6 +156,7 @@ fn quiesce_until_live(ledger: &CanaryLedger, expected_live: isize) {
 /// rawest form of "a snapshot must outlive concurrent replacement".
 #[test]
 fn atomic_churn_with_held_guards() {
+    let _serial = serial();
     let writers = stress_threads(2);
     let readers = stress_threads(2);
     let swaps_per_writer = 5_000 * stress_factor();
@@ -151,6 +165,37 @@ fn atomic_churn_with_held_guards() {
     let slot = Arc::new(Atomic::new(Canary::new(0, &ledger)));
     let stop = Arc::new(AtomicBool::new(false));
 
+    let up = Arc::new(ReadersUp::default());
+    let reader_handles: Vec<_> = (0..readers)
+        .map(|_| {
+            let slot = Arc::clone(&slot);
+            let stop = Arc::clone(&stop);
+            let up = Arc::clone(&up);
+            std::thread::spawn(move || {
+                let mut observations = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let guard = epoch::pin();
+                    let shared = slot.load(Ordering::Acquire, &guard);
+                    // Hold the snapshot across repeated validation: the
+                    // pointee must stay alive for as long as the guard does,
+                    // however much the writers churn meanwhile.
+                    for _ in 0..32 {
+                        // SAFETY: loaded under `guard`, non-null (the slot
+                        // is never emptied), alive while `guard` pins.
+                        let v = unsafe { shared.deref() };
+                        v.check();
+                        std::hint::spin_loop();
+                    }
+                    observations += 1;
+                    up.observed_once(observations);
+                    drop(guard);
+                }
+                observations
+            })
+        })
+        .collect();
+
+    up.wait_for(readers);
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
             let slot = Arc::clone(&slot);
@@ -169,33 +214,6 @@ fn atomic_churn_with_held_guards() {
                     // unique retirer.
                     unsafe { guard.defer_destroy(old) };
                 }
-            })
-        })
-        .collect();
-
-    let reader_handles: Vec<_> = (0..readers)
-        .map(|_| {
-            let slot = Arc::clone(&slot);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut observations = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let guard = epoch::pin();
-                    let shared = slot.load(Ordering::Acquire, &guard);
-                    // Hold the snapshot across repeated validation: the
-                    // pointee must stay alive for as long as the guard does,
-                    // however much the writers churn meanwhile.
-                    for _ in 0..32 {
-                        // SAFETY: loaded under `guard`, non-null (the slot
-                        // is never emptied), alive while `guard` pins.
-                        let v = unsafe { shared.deref() };
-                        v.check();
-                        std::hint::spin_loop();
-                    }
-                    observations += 1;
-                    drop(guard);
-                }
-                observations
             })
         })
         .collect();
@@ -239,26 +257,13 @@ fn tvar_churn(backend: BackendKind, writers: usize, readers: usize, iters_per_wr
     assert!(!vars[0].uses_inline_storage());
     let stop = Arc::new(AtomicBool::new(false));
 
-    let writer_handles: Vec<_> = (0..writers)
-        .map(|w| {
-            let rt = rt.clone();
-            let vars = Arc::clone(&vars);
-            let ledger = Arc::clone(&ledger);
-            std::thread::spawn(move || {
-                for i in 0..iters_per_writer {
-                    let var = &vars[(w + i) % VARS];
-                    let value = (w * iters_per_writer + i) as u64;
-                    rt.run(|tx| tx.write(var, Canary::new(value, &ledger)));
-                }
-            })
-        })
-        .collect();
-
+    let up = Arc::new(ReadersUp::default());
     let reader_handles: Vec<_> = (0..readers)
         .map(|r| {
             let rt = rt.clone();
             let vars = Arc::clone(&vars);
             let stop = Arc::clone(&stop);
+            let up = Arc::clone(&up);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
                 // A small window of held snapshots: clones whose canaries
@@ -289,8 +294,25 @@ fn tvar_churn(backend: BackendKind, writers: usize, readers: usize, iters_per_wr
                         c.check();
                     }
                     observations += 1;
+                    up.observed_once(observations);
                 }
                 observations
+            })
+        })
+        .collect();
+
+    up.wait_for(readers);
+    let writer_handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let rt = rt.clone();
+            let vars = Arc::clone(&vars);
+            let ledger = Arc::clone(&ledger);
+            std::thread::spawn(move || {
+                for i in 0..iters_per_writer {
+                    let var = &vars[(w + i) % VARS];
+                    let value = (w * iters_per_writer + i) as u64;
+                    rt.run(|tx| tx.write(var, Canary::new(value, &ledger)));
+                }
             })
         })
         .collect();
@@ -317,6 +339,7 @@ fn tvar_churn(backend: BackendKind, writers: usize, readers: usize, iters_per_wr
 
 #[test]
 fn tvar_churn_swiss_4w_4r_10k() {
+    let _serial = serial();
     tvar_churn(
         BackendKind::Swiss,
         stress_threads(4),
@@ -327,6 +350,7 @@ fn tvar_churn_swiss_4w_4r_10k() {
 
 #[test]
 fn tvar_churn_tiny_4w_4r_10k() {
+    let _serial = serial();
     tvar_churn(
         BackendKind::Tiny,
         stress_threads(4),
@@ -541,6 +565,7 @@ fn explore(grace: u8) -> Result<usize, String> {
 /// every interleaving of two pinning readers and a retiring writer.
 #[test]
 fn model_two_epoch_grace_is_safe_across_all_interleavings() {
+    let _serial = serial();
     let explored = explore(2).unwrap_or_else(|violation| panic!("{violation}"));
     // Sanity: the enumeration is genuinely exhaustive, not trivially small.
     assert!(
@@ -554,6 +579,7 @@ fn model_two_epoch_grace_is_safe_across_all_interleavings() {
 /// still holds a value retired at e when the epoch reaches e+1).
 #[test]
 fn model_one_epoch_grace_is_unsafe() {
+    let _serial = serial();
     let violation = explore(1).expect_err("one-epoch grace must admit a violation");
     assert!(
         violation.contains("freed generation") || violation.contains("use-after-free"),

@@ -179,6 +179,12 @@ fn bounded_waits_under_churn_report_consistent_outcomes() {
             (advanced, timed_out)
         })
     };
+    // Start advancing only once the waiter is inside a wait: otherwise all
+    // rounds can finish before its thread is first scheduled, and the run
+    // exercises nothing.
+    while ec.waiters() == 0 {
+        std::thread::yield_now();
+    }
     for i in 0..rounds {
         ec.advance();
         if i % 128 == 0 {

@@ -9,6 +9,9 @@ use std::sync::Arc;
 
 use shrink::prelude::*;
 
+mod common;
+use common::ReadersUp;
+
 fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &SchedulerKind) {
     const ACCOUNTS: usize = 12;
     const THREADS: usize = 4;
@@ -20,10 +23,14 @@ fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &Scheduler
         .build();
     let accounts: Arc<Vec<TVar<i64>>> = Arc::new((0..ACCOUNTS).map(|_| TVar::new(500)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    // The transfers start only after the auditor's first sum, or the cell
+    // may audit nothing mid-flight.
+    let up = Arc::new(ReadersUp::default());
     let auditor = {
         let rt = rt.clone();
         let accounts = Arc::clone(&accounts);
         let stop = Arc::clone(&stop);
+        let up = Arc::clone(&up);
         let label = kind.label().to_string();
         std::thread::spawn(move || {
             let mut audits = 0u64;
@@ -42,10 +49,12 @@ fn transfer_matrix_cell(backend: BackendKind, wait: WaitPolicy, kind: &Scheduler
                      wait={wait:?} scheduler={label}"
                 );
                 audits += 1;
+                up.observed_once(audits);
             }
             audits
         })
     };
+    up.wait_for(1);
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let rt = rt.clone();
@@ -257,4 +266,44 @@ fn tiny_blocking_queue_conserves_money_under_all_schedulers() {
     for kind in scheduler_kinds() {
         blocking_queue_cell(BackendKind::Tiny, &kind);
     }
+}
+
+/// Four threads (oversubscribing small hosts, so threads are preempted
+/// mid-read) hammer one counter with read-modify-write transactions; every
+/// committed increment must survive. Guards the read-write path's restart
+/// after a timestamp extension: without it, a commit landing between a
+/// read's value load and the extension's clock sample leaves a stale read
+/// entry under the advanced timestamp, the commit-time shortcut
+/// (`commit_ts == start_ts + 1`) skips revalidating it, and the stale
+/// increment overwrites the newer one.
+fn increments_cell(backend: BackendKind) {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 40_000;
+    let rt = TmRuntime::builder().backend(backend).build();
+    let counter = TVar::new(0u64);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for _ in 0..PER_THREAD {
+                    rt.run(|tx| tx.modify(&counter, |v| v + 1));
+                }
+            });
+        }
+    });
+    assert_eq!(
+        counter.snapshot(),
+        THREADS * PER_THREAD,
+        "lost updates under {backend:?}"
+    );
+    assert_eq!(rt.stats().commits, THREADS * PER_THREAD);
+}
+
+#[test]
+fn swiss_concurrent_increments_are_never_lost() {
+    increments_cell(BackendKind::Swiss);
+}
+
+#[test]
+fn tiny_concurrent_increments_are_never_lost() {
+    increments_cell(BackendKind::Tiny);
 }

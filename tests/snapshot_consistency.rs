@@ -16,7 +16,12 @@
 //! * `read_only_snapshot_stress` — the same multi-writer hammer with the
 //!   readers on the lock-free [`TmRuntime::read_only`] path, which must
 //!   deliver the identical opacity guarantees while leaving zero marks on
-//!   shared state (asserted per reader thread from the stats ledger).
+//!   shared state (asserted per reader thread from the stats ledger);
+//! * `ref_traversal_stress` — readers in both `read_only` and `run` walk a
+//!   linked chain by reference ([`TxRead::read_ref`]) while writers either
+//!   retag every link in place or swap in a whole new chain, so readers
+//!   keep borrowing through values (and reaching `TVar`s) that a commit
+//!   has already retired.
 //!
 //! Set `SHRINK_STRESS=1` to raise thread counts and rounds.
 
@@ -25,8 +30,12 @@ use std::sync::Arc;
 
 use shrink::prelude::*;
 
+mod common;
+use common::ReadersUp;
+
 fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) {
     const VARS: usize = 16;
+    const READERS: usize = 3;
     const WRITER_ROUNDS: u64 = 400;
     let rt = TmRuntime::builder()
         .backend(backend)
@@ -35,12 +44,14 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
         .build();
     let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    let up = Arc::new(ReadersUp::default());
 
-    let readers: Vec<_> = (0..3)
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let rt = rt.clone();
             let vars = Arc::clone(&vars);
             let stop = Arc::clone(&stop);
+            let up = Arc::clone(&up);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -56,12 +67,14 @@ fn snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: SchedulerKind) 
                         "torn snapshot observed: {values:?}"
                     );
                     observations += 1;
+                    up.observed_once(observations);
                 }
                 observations
             })
         })
         .collect();
 
+    up.wait_for(READERS);
     for round in 1..=WRITER_ROUNDS {
         rt.run(|tx| {
             for v in vars.iter() {
@@ -103,12 +116,14 @@ fn contended_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
         .build();
     let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    let up = Arc::new(ReadersUp::default());
 
     let reader_handles: Vec<_> = (0..readers)
         .map(|_| {
             let rt = rt.clone();
             let vars = Arc::clone(&vars);
             let stop = Arc::clone(&stop);
+            let up = Arc::clone(&up);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -124,12 +139,14 @@ fn contended_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
                         "torn snapshot under contention: {values:?}"
                     );
                     observations += 1;
+                    up.observed_once(observations);
                 }
                 observations
             })
         })
         .collect();
 
+    up.wait_for(readers);
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
             let rt = rt.clone();
@@ -191,12 +208,14 @@ fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
         .build();
     let vars: Arc<Vec<TVar<u64>>> = Arc::new((0..VARS).map(|_| TVar::new(0)).collect());
     let stop = Arc::new(AtomicBool::new(false));
+    let up = Arc::new(ReadersUp::default());
 
     let reader_handles: Vec<_> = (0..readers)
         .map(|_| {
             let rt = rt.clone();
             let vars = Arc::clone(&vars);
             let stop = Arc::clone(&stop);
+            let up = Arc::clone(&up);
             std::thread::spawn(move || {
                 let mut observations = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -222,12 +241,14 @@ fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
                         "tag {tag} not produced by any writer round"
                     );
                     observations += 1;
+                    up.observed_once(observations);
                 }
                 observations
             })
         })
         .collect();
 
+    up.wait_for(readers);
     let writer_handles: Vec<_> = (0..writers)
         .map(|w| {
             let rt = rt.clone();
@@ -269,6 +290,151 @@ fn read_only_snapshot_stress(backend: BackendKind, wait: WaitPolicy, kind: Sched
         assert_eq!(t.orec_acquires, 0, "pure reader wrote an orec: {t:?}");
         assert_eq!(t.aborts, 0, "pure reader aborted: {t:?}");
     }
+}
+
+/// One link of the chain `ref_traversal_stress` walks. `check` repeats
+/// `tag`, so a link read from reclaimed memory shows up as a mismatch.
+#[derive(Clone)]
+struct Link {
+    tag: u64,
+    check: Vec<u64>,
+    next: Option<TVar<Link>>,
+}
+
+/// A fresh chain of `len` links, all carrying `tag`.
+fn chain(len: usize, tag: u64) -> Option<TVar<Link>> {
+    (0..len).fold(None, |next, _| {
+        Some(TVar::new(Link {
+            tag,
+            check: vec![tag; 3],
+            next,
+        }))
+    })
+}
+
+/// The tags along the chain below `head`, read by reference.
+fn scan_by_ref(tx: &impl TxRead, head: &TVar<Link>) -> TxResult<Vec<u64>> {
+    let mut tags = Vec::new();
+    let mut cur = Some(head);
+    while let Some(var) = cur {
+        let link = tx.read_ref(var)?;
+        assert!(
+            link.check.iter().all(|&c| c == link.tag),
+            "link {} read from reclaimed memory: {:?}",
+            link.tag,
+            link.check
+        );
+        tags.push(link.tag);
+        cur = link.next.as_ref();
+    }
+    Ok(tags)
+}
+
+/// Borrowed reads under concurrent reclamation. Writers alternate two
+/// commits over a `LEN`-link chain hanging off a fixed head: retag every
+/// link in place (readers must see all-old or all-new, never a mix), or
+/// install a brand-new chain under the head, which retires the old head
+/// value together with the only handles to the old links. Readers on both
+/// paths keep walking those links by reference; the attempt's epoch pin
+/// must keep all of it alive until the attempt ends.
+fn ref_traversal_stress(backend: BackendKind) {
+    const LEN: usize = 8;
+    const READERS: usize = 4;
+    let writers: u64 = 2;
+    let writer_rounds: u64 = 300 * stress_factor();
+    let rt = TmRuntime::builder().backend(backend).build();
+    let head = Arc::new(TVar::new(Link {
+        tag: 0,
+        check: vec![0; 3],
+        next: chain(LEN - 1, 0),
+    }));
+    let stop = Arc::new(AtomicBool::new(false));
+    let up = Arc::new(ReadersUp::default());
+
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let rt = rt.clone();
+            let head = Arc::clone(&head);
+            let stop = Arc::clone(&stop);
+            let up = Arc::clone(&up);
+            std::thread::spawn(move || {
+                let mut observations = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let tags = if r % 2 == 0 {
+                        rt.read_only(|tx| scan_by_ref(tx, &head))
+                    } else {
+                        rt.run(|tx| scan_by_ref(tx, &head))
+                    };
+                    assert_eq!(tags.len(), LEN, "chain length changed: {tags:?}");
+                    assert!(
+                        tags.windows(2).all(|w| w[0] == w[1]),
+                        "torn by-reference traversal: {tags:?}"
+                    );
+                    observations += 1;
+                    up.observed_once(observations);
+                }
+                observations
+            })
+        })
+        .collect();
+
+    up.wait_for(READERS);
+    let writer_handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let rt = rt.clone();
+            let head = Arc::clone(&head);
+            std::thread::spawn(move || {
+                for round in 1..=writer_rounds {
+                    let tag = round * writers + w;
+                    if round % 2 == 0 {
+                        // Swap in a new chain; the old links die with the
+                        // old head value once no attempt can reach them.
+                        let next = chain(LEN - 1, tag);
+                        rt.run(|tx| {
+                            let check = vec![tag; 3];
+                            let next = next.clone();
+                            tx.write(&head, Link { tag, check, next })
+                        });
+                    } else {
+                        rt.run(|tx| {
+                            let mut cur = Some((*head).clone());
+                            while let Some(var) = cur {
+                                let next = tx.read(&var)?.next;
+                                let check = vec![tag; 3];
+                                let link = Link {
+                                    tag,
+                                    check,
+                                    next: next.clone(),
+                                };
+                                tx.write(&var, link)?;
+                                cur = next;
+                            }
+                            Ok(())
+                        });
+                    }
+                }
+            })
+        })
+        .collect();
+
+    for h in writer_handles {
+        h.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(total > 0, "readers must have observed the chain");
+    let tags = rt.read_only(|tx| scan_by_ref(tx, &head));
+    assert!(tags.windows(2).all(|w| w[0] == w[1]), "final chain torn");
+}
+
+#[test]
+fn swiss_by_reference_traversals_stay_consistent() {
+    ref_traversal_stress(BackendKind::Swiss);
+}
+
+#[test]
+fn tiny_by_reference_traversals_stay_consistent() {
+    ref_traversal_stress(BackendKind::Tiny);
 }
 
 /// Deterministic writer/reader interleaving, single-threaded: a writer
