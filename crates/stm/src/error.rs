@@ -192,7 +192,6 @@ pub type TxResult<T> = Result<T, Abort>;
 
 /// Terminal failures of the bounded transaction entry points
 /// ([`run_budgeted`](crate::TmRuntime::run_budgeted),
-/// [`read_only_budgeted`](crate::TmRuntime::read_only_budgeted),
 /// [`run_with_deadline`](crate::TmRuntime::run_with_deadline)).
 ///
 /// Unlike [`Abort`], which the retry loop consumes internally, a `TmError`

@@ -1,12 +1,12 @@
 //! Transaction = future: run a transaction as a [`Future`] that suspends
 //! instead of parking a thread.
 //!
-//! [`atomically_async`] is the async sibling of
-//! [`atomically`](crate::atomically): the body is the same synchronous
-//! `FnMut(&mut Tx)` closure — attempts run to completion *inside*
-//! [`poll`](Future::poll), never across an `.await` point — but a
-//! [`Tx::retry`] that would park the OS thread instead registers a
-//! [`Waker`]-backed parker on the per-stripe waitlist and returns
+//! [`atomically_async`] is the async sibling of [`TmRuntime::run`]: the
+//! body is the same synchronous `FnMut(&mut Tx)` closure — attempts run to
+//! completion *inside* [`poll`](Future::poll), never across an `.await`
+//! point — but a [`Tx::retry`] that would park the OS thread instead
+//! registers a [`Waker`](std::task::Waker)-backed parker on the per-stripe
+//! waitlist and returns
 //! [`Poll::Pending`]. The committing writer that would have issued a futex
 //! wake delivers the waker at the exact same protocol point, so one commit
 //! wakes thread-parked and future-suspended waiters alike (DESIGN.md §12).
@@ -56,15 +56,12 @@ use std::fmt;
 use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::config::TxnKind;
-use crate::error::{AbortReason, TmError, TxResult};
-use crate::faults::FaultSite;
-use crate::runtime::{AttemptGuard, TmRuntime};
-use crate::sched::SchedCtx;
+use crate::error::TxResult;
+use crate::runtime::{attempt_once, AttemptOutcome, TmRuntime};
 use crate::thread::ThreadCtx;
 use crate::txn::Tx;
 use crate::waitlist::{AsyncParker, AsyncRegisterOutcome};
@@ -111,7 +108,7 @@ pub struct TxFuture<T, F> {
 
 /// Runs `body` as a transaction on `rt`, as a future.
 ///
-/// The async spelling of [`atomically`](crate::atomically): the body stays
+/// The async spelling of [`TmRuntime::run`]: the body stays
 /// a synchronous `FnMut(&mut Tx)` closure and every attempt runs entirely
 /// within one `poll`, but a blocked [`Tx::retry`] suspends the task
 /// instead of parking the thread. Tens of thousands of blocked consumers
@@ -187,46 +184,20 @@ where
         let inner = &*this.rt.inner;
         let mut consecutive_aborts: u32 = 0;
         loop {
-            // Same bracket as the thread path (`run_attempts`): guard
-            // first, `tx` second, so a body panic unwinding out of `poll`
-            // rolls the attempt back before the guard resets the scheduler.
-            let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadWrite);
-            inner.scheduler.before_start(&guard.sched_ctx());
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-            let mut tx = Tx::begin(inner, &ctx);
-            let committed = match (this.body)(&mut tx) {
-                Ok(value) => tx.try_commit().map(|()| value),
-                Err(abort) => Err(abort),
-            };
-            match committed {
-                Ok(value) => {
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.commits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_commit(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnCommit);
-                    guard.complete();
+            // The same bracket as the thread path: a body panic unwinding
+            // out of `poll` rolls the attempt back before the scheduler
+            // reset.
+            match attempt_once(inner, &ctx, &mut this.body) {
+                AttemptOutcome::Committed(value) => {
                     this.done = true;
                     return Poll::Ready(value);
                 }
-                Err(abort) if abort.reason() == AbortReason::Retry => {
+                AttemptOutcome::Blocked(wait_plan) => {
                     // Deliberate blocking: suspend the task instead of
-                    // parking the thread.
-                    tx.rollback();
-                    let wait_plan = tx.retry_wait_plan();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_retry_wait(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
-                    // Close the scheduler bracket *before* suspending, like
-                    // the thread path does before parking: no hook bracket
-                    // stays open across Pending.
-                    guard.complete();
+                    // parking the thread. The scheduler bracket closed
+                    // before this point, like the thread path's before it
+                    // parks: no hook bracket stays open across Pending.
+                    //
                     // Waker before registration, epoch before registration:
                     // a commit landing between the epoch sample and the
                     // registration also changed an orec, which the
@@ -251,31 +222,10 @@ where
                         }
                     }
                 }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    tx.rollback();
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    drop(tx);
-                    // `run` panics on this too: it is a program bug, not a
-                    // schedulable condition, and `poll` has no error lane.
-                    panic!(
-                        "{}",
-                        TmError::ForeignTVar {
-                            var: info.var,
-                            owner: info.owner,
-                            runtime: inner.id,
-                        }
-                    );
-                }
-                Err(abort) => {
-                    tx.rollback();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_abort(&guard.sched_ctx(), &abort, &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnAbort);
-                    guard.complete();
+                // `run` panics on this too: it is a program bug, not a
+                // schedulable condition, and `poll` has no error lane.
+                AttemptOutcome::Foreign(err) => panic!("{err}"),
+                AttemptOutcome::Aborted => {
                     consecutive_aborts += 1;
                     if consecutive_aborts >= ABORTS_PER_POLL {
                         // Cooperative backoff: re-enqueue instead of
@@ -307,12 +257,9 @@ impl<T, F> Drop for TxFuture<T, F> {
         // complete ran before Pending), but policies that tracked the
         // blocked transaction still hear about the abandonment — `on_reset`
         // is specified to tolerate firing with nothing held.
-        inner.scheduler.on_reset(&SchedCtx {
-            thread: susp.ctx.id(),
-            visible: &inner.orecs,
-            epochs: &inner.registry,
-            kind: TxnKind::ReadWrite,
-        });
+        inner
+            .scheduler
+            .on_reset(&inner.sched_ctx(susp.ctx.id(), TxnKind::ReadWrite));
     }
 }
 

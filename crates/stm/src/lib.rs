@@ -18,8 +18,7 @@
 //! * the scheduler hook interface ([`sched::TxScheduler`]) through which the
 //!   Shrink, ATS, Pool and Serializer policies of the companion
 //!   `shrink-core` crate plug in;
-//! * composable blocking ([`Tx::retry`] / [`Tx::or_else`] /
-//!   [`atomically`]): transactions that wait for a predicate over `TVar`s
+//! * composable blocking ([`Tx::retry`] / [`Tx::or_else`]): transactions that wait for a predicate over `TVar`s
 //!   park on per-stripe commit event counts instead of abort-spinning, and
 //!   alternatives roll back only their own branch (DESIGN.md §9);
 //! * lock-free read-only transactions
@@ -105,7 +104,7 @@ pub use future::{atomically_async, TxFuture};
 pub use registry::{
     lookup_runtime, retry_select, retry_select_deadline, select_stats, SelectArm, SelectStats,
 };
-pub use runtime::{atomically, quiesce, TmBuilder, TmRuntime};
+pub use runtime::{quiesce, TmBuilder, TmRuntime};
 pub use sched::{NoopScheduler, SchedCtx, TxScheduler};
 pub use stats::{ThreadStats, TmStats};
 pub use tarray::TArray;

@@ -50,9 +50,10 @@ use std::time::Instant;
 
 use parking_lot::{EventCount, Mutex, WaitOutcome};
 
+use crate::backoff::retry_backoff;
 use crate::error::{TmError, TxResult};
 use crate::faults::FaultSite;
-use crate::runtime::{BlockOutcome, RuntimeInner, TmRuntime};
+use crate::runtime::{attempt_once, AttemptOutcome, RuntimeInner, TmRuntime};
 use crate::txn::Tx;
 use crate::waitlist::StripeWaitlist;
 
@@ -259,10 +260,27 @@ fn select_rounds<T>(
     loop {
         SELECT_ROUNDS.fetch_add(1, Ordering::Relaxed);
         for (i, arm) in arms.iter_mut().enumerate() {
-            match arm.rt.run_until_block(&mut *arm.body)? {
-                BlockOutcome::Committed(value) => return Ok((i, value)),
-                BlockOutcome::Blocked(plan) => plans[i] = plan,
-            }
+            // Run the arm until it commits or blocks: conflict aborts
+            // re-run with the usual backoff, and a retry hands its wait
+            // plan to the multi-runtime park below.
+            let ctx = arm.rt.current_ctx();
+            let inner = &*arm.rt.inner;
+            let mut consecutive_aborts: u32 = 0;
+            plans[i] = loop {
+                match attempt_once(inner, &ctx, &mut arm.body) {
+                    AttemptOutcome::Committed(value) => return Ok((i, value)),
+                    AttemptOutcome::Blocked(plan) => break plan,
+                    AttemptOutcome::Foreign(err) => return Err(err),
+                    AttemptOutcome::Aborted => {
+                        consecutive_aborts += 1;
+                        retry_backoff(
+                            inner.config.wait_policy,
+                            consecutive_aborts,
+                            ctx.id().as_u16() as u64,
+                        );
+                    }
+                }
+            };
         }
         // Every arm blocked. Probed before any bucket is touched, so an
         // injected panic here cannot leak a registration on any runtime.

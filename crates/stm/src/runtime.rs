@@ -16,7 +16,7 @@ use crate::faults::FaultSite;
 use crate::orec::OrecTable;
 use crate::sched::{NoopScheduler, SchedCtx, TxScheduler};
 use crate::stats::{ThreadStats, TmStats};
-use crate::thread::{ThreadCtx, ThreadRegistry};
+use crate::thread::{ThreadCtx, ThreadId, ThreadRegistry};
 use crate::txn::{ReadTx, Tx};
 use crate::visible::VisibleWrites;
 use crate::waitlist::{RetryStats, StripeWaitlist};
@@ -64,16 +64,33 @@ impl Drop for RuntimeInner {
     }
 }
 
-/// How [`run_until_block`](TmRuntime::run_until_block) left the
-/// transaction: committed with a value, or rolled back at a deliberate
-/// [`Tx::retry`] with the wait plan it would have parked on.
-pub(crate) enum BlockOutcome<T> {
-    /// An attempt committed.
+impl RuntimeInner {
+    /// The scheduler hook context of `thread`'s current `kind` attempt.
+    #[inline]
+    pub(crate) fn sched_ctx(&self, thread: ThreadId, kind: TxnKind) -> SchedCtx<'_> {
+        SchedCtx {
+            thread,
+            visible: &self.orecs,
+            epochs: &self.registry,
+            kind,
+        }
+    }
+}
+
+/// How one read-write attempt ended (see [`attempt_once`]). Every variant
+/// but `Committed` left the attempt rolled back.
+pub(crate) enum AttemptOutcome<T> {
+    /// The attempt committed with the body's value.
     Committed(T),
-    /// The body retried: the deduplicated `(stripe, observed version)`
-    /// pairs of the attempt's read set — what a commit must touch to make
-    /// re-running worthwhile.
+    /// The body blocked in [`Tx::retry`]: the deduplicated
+    /// `(stripe, observed version)` pairs of the attempt's read set — what
+    /// a commit must touch to make re-running worthwhile.
     Blocked(Vec<(usize, u64)>),
+    /// A conflict (or a user restart) aborted the attempt; `on_abort` ran.
+    Aborted,
+    /// The body touched a `TVar` bound to another runtime. Not retryable:
+    /// no completion hook ran and no abort was booked.
+    Foreign(TmError),
 }
 
 /// RAII bracket around one transaction attempt.
@@ -88,11 +105,11 @@ pub(crate) enum BlockOutcome<T> {
 /// threads serialized behind this one wake instead of stalling their full
 /// wait bound.
 ///
-/// Declared *before* the `Tx` in the attempt loop, so during an unwind the
+/// Declared *before* the `Tx` in [`attempt_once`], so during an unwind the
 /// `Tx` drops first (rollback: stripe locks released, versions restored)
 /// and this guard second — the scheduler reset never observes the attempt's
 /// stripes still locked.
-pub(crate) struct AttemptGuard<'a> {
+struct AttemptGuard<'a> {
     inner: &'a RuntimeInner,
     ctx: &'a ThreadCtx,
     kind: TxnKind,
@@ -100,7 +117,7 @@ pub(crate) struct AttemptGuard<'a> {
 }
 
 impl<'a> AttemptGuard<'a> {
-    pub(crate) fn new(inner: &'a RuntimeInner, ctx: &'a ThreadCtx, kind: TxnKind) -> Self {
+    fn new(inner: &'a RuntimeInner, ctx: &'a ThreadCtx, kind: TxnKind) -> Self {
         AttemptGuard {
             inner,
             ctx,
@@ -109,19 +126,10 @@ impl<'a> AttemptGuard<'a> {
         }
     }
 
-    pub(crate) fn sched_ctx(&self) -> SchedCtx<'_> {
-        SchedCtx {
-            thread: self.ctx.id(),
-            visible: &self.inner.orecs,
-            epochs: &self.inner.registry,
-            kind: self.kind,
-        }
-    }
-
     /// Normal completion: a completion hook ran; advance the attempt epoch
     /// (read-write attempts only — read-only transactions never advance
     /// epochs, in either completion mode) and disarm.
-    pub(crate) fn complete(mut self) {
+    fn complete(mut self) {
         self.armed = false;
         if self.kind == TxnKind::ReadWrite {
             // Bump-and-wake *after* the hook: a victim released here
@@ -136,11 +144,88 @@ impl Drop for AttemptGuard<'_> {
         if !self.armed {
             return;
         }
-        self.inner.scheduler.on_reset(&self.sched_ctx());
+        self.inner
+            .scheduler
+            .on_reset(&self.inner.sched_ctx(self.ctx.id(), self.kind));
         if self.kind == TxnKind::ReadWrite {
             self.ctx.finish_attempt();
         }
     }
+}
+
+/// Runs one read-write attempt of `body` inside the scheduler bracket: the
+/// one place where prevention (`before_start` may serialize the attempt)
+/// and cure (`on_abort`, then the caller's backoff) meet.
+///
+/// In order: arm the [`AttemptGuard`], `before_start`, begin, run the body,
+/// try to commit; then roll back and collect the access sets, book the
+/// per-thread counter, fire exactly one completion hook (`on_commit`,
+/// `on_retry_wait` or `on_abort`) with its failpoint, and close the
+/// bracket. A foreign `TVar` access fires no completion hook: the attempt
+/// rolls back and the guard's `on_reset` closes the bracket. Every caller
+/// — [`TmRuntime::run`] and its siblings, the cross-runtime select and
+/// [`TxFuture`](crate::future::TxFuture) — keeps only its own policy for
+/// what happens between attempts.
+pub(crate) fn attempt_once<T>(
+    inner: &RuntimeInner,
+    ctx: &ThreadCtx,
+    mut body: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
+) -> AttemptOutcome<T> {
+    // Guard first, `tx` second: on an unwind the transaction rolls back
+    // (stripes released) before the guard resets the scheduler and
+    // advances the attempt epoch.
+    let guard = AttemptGuard::new(inner, ctx, TxnKind::ReadWrite);
+    let sched = inner.sched_ctx(ctx.id(), TxnKind::ReadWrite);
+    inner.scheduler.before_start(&sched);
+    // Hazard probe with serialization possibly held: a panic here must
+    // release it through the guard's on_reset.
+    let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
+    let mut tx = Tx::begin(inner, ctx);
+    let abort = match body(&mut tx).and_then(|value| tx.try_commit().map(|()| value)) {
+        Ok(value) => {
+            let (reads, writes) = tx.take_logs();
+            drop(tx);
+            ctx.commits.fetch_add(1, Ordering::Relaxed);
+            inner.scheduler.on_commit(&sched, &reads, &writes);
+            let _ = crate::failpoint!(FaultSite::SchedOnCommit);
+            guard.complete();
+            return AttemptOutcome::Committed(value);
+        }
+        Err(abort) => abort,
+    };
+    tx.rollback();
+    if abort.reason() == AbortReason::ForeignTVar {
+        let info = tx.foreign_access().expect("foreign abort carries details");
+        drop(tx);
+        // Not retryable, and not a conflict either: no abort is booked and
+        // no completion hook fires — the guard's on_reset closes the
+        // scheduler bracket as it drops.
+        return AttemptOutcome::Foreign(TmError::ForeignTVar {
+            var: info.var,
+            owner: info.owner,
+            runtime: inner.id,
+        });
+    }
+    let wait_plan = (abort.reason() == AbortReason::Retry).then(|| tx.retry_wait_plan());
+    let (reads, writes) = tx.take_logs();
+    drop(tx);
+    let outcome = match wait_plan {
+        Some(wait_plan) => {
+            // Deliberate blocking, not a conflict.
+            ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
+            inner.scheduler.on_retry_wait(&sched, &reads, &writes);
+            let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
+            AttemptOutcome::Blocked(wait_plan)
+        }
+        None => {
+            ctx.aborts.fetch_add(1, Ordering::Relaxed);
+            inner.scheduler.on_abort(&sched, &abort, &reads, &writes);
+            let _ = crate::failpoint!(FaultSite::SchedOnAbort);
+            AttemptOutcome::Aborted
+        }
+    };
+    guard.complete();
+    outcome
 }
 
 /// Builder for [`TmRuntime`].
@@ -192,45 +277,10 @@ impl TmBuilder {
         self
     }
 
-    /// Sets the reader's spin budget against committing stripes.
-    #[must_use]
-    pub fn read_spin_budget(mut self, spins: u32) -> Self {
-        self.config.read_spin_budget = spins;
-        self
-    }
-
-    /// Sets the Tiny backend's busy-wait budget on locked stripes.
-    #[must_use]
-    pub fn lock_spin_budget(mut self, spins: u32) -> Self {
-        self.config.lock_spin_budget = spins;
-        self
-    }
-
-    /// Sets the Swiss contention manager's timid-phase threshold.
-    #[must_use]
-    pub fn cm_timid_threshold(mut self, accesses: u64) -> Self {
-        self.config.cm_timid_threshold = accesses;
-        self
-    }
-
     /// Selects the write/write contention-management policy.
     #[must_use]
     pub fn cm_policy(mut self, policy: CmPolicy) -> Self {
         self.config.cm_policy = policy;
-        self
-    }
-
-    /// Sets how long a Swiss transaction waits for a killed victim.
-    #[must_use]
-    pub fn kill_wait_budget(mut self, spins: u32) -> Self {
-        self.config.kill_wait_budget = spins;
-        self
-    }
-
-    /// Sets the exponential retry backoff ceiling (power of two).
-    #[must_use]
-    pub fn backoff_ceiling(mut self, ceiling: u32) -> Self {
-        self.config.backoff_ceiling = ceiling;
         self
     }
 
@@ -246,13 +296,6 @@ impl TmBuilder {
     #[must_use]
     pub fn retry_wait(mut self, deadline: Duration) -> Self {
         self.config.retry_wait = deadline;
-        self
-    }
-
-    /// Replaces the whole configuration.
-    #[must_use]
-    pub fn config(mut self, config: TmConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -467,41 +510,6 @@ impl TmRuntime {
         self.run_attempts(u64::MAX, Some(deadline), body)
     }
 
-    /// Runs `first` as a transaction, falling back to `second` whenever
-    /// `first` ends in [`Tx::retry`] — the top-level form of
-    /// [`Tx::or_else`], retrying until the composition commits.
-    ///
-    /// If *both* branches retry, the thread parks on the union of their
-    /// read sets and the composition re-runs when any of it changes.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use shrink_stm::{TmRuntime, TVar};
-    ///
-    /// let rt = TmRuntime::new();
-    /// let inbox: TVar<Option<u32>> = TVar::new(None);
-    /// let got = rt.run_or_else(
-    ///     |tx| match tx.read(&inbox)? {
-    ///         Some(v) => Ok(v),
-    ///         None => tx.retry(),
-    ///     },
-    ///     |_tx| Ok(0), // default when the inbox is empty
-    /// );
-    /// assert_eq!(got, 0);
-    /// ```
-    pub fn run_or_else<T>(
-        &self,
-        mut first: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-        mut second: impl FnMut(&mut Tx<'_>) -> TxResult<T>,
-    ) -> T {
-        self.run(move |tx| {
-            let first = &mut first;
-            let second = &mut second;
-            tx.or_else(|tx| first(tx), |tx| second(tx))
-        })
-    }
-
     /// Runs `body` as a **lock-free read-only transaction**, restarting it
     /// on snapshot invalidation until it observes a consistent snapshot,
     /// and returns its result.
@@ -532,9 +540,13 @@ impl TmRuntime {
     /// reads. Like [`run`](TmRuntime::run), `read_only` retries without
     /// bound: a body that can never observe a consistent snapshot (an
     /// unconditional [`ReadTx::restart`], or a very long scan under a
-    /// saturating writer stream) livelocks here — use
-    /// [`read_only_budgeted`](TmRuntime::read_only_budgeted) to cap the
-    /// attempts instead.
+    /// saturating writer stream) livelocks here.
+    ///
+    /// # Panics
+    ///
+    /// Propagates panics from `body`, and panics with the
+    /// [`TmError::ForeignTVar`] message when the body reads a `TVar` bound
+    /// to a different runtime.
     ///
     /// # Examples
     ///
@@ -550,50 +562,19 @@ impl TmRuntime {
     /// assert_eq!(stats.ro_commits, 1);
     /// assert_eq!(stats.commits, 0, "read-only is not a commit");
     /// ```
-    pub fn read_only<T>(&self, body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>) -> T {
-        match self.read_only_attempts(u64::MAX, body) {
-            Ok(v) => v,
-            Err(err @ TmError::ForeignTVar { .. }) => panic!("{err}"),
-            Err(_) => unreachable!("unbounded retries cannot be exhausted"),
-        }
-    }
-
-    /// Runs `body` as a read-only transaction like
-    /// [`read_only`](TmRuntime::read_only) but gives up after
-    /// `max_attempts` attempts — the read-only analogue of
-    /// [`run_budgeted`](TmRuntime::run_budgeted).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TmError::RetryLimitExceeded`] if no attempt observed a
-    /// consistent snapshot, or [`TmError::ForeignTVar`] if the body read a
-    /// `TVar` bound to a different runtime.
-    pub fn read_only_budgeted<T>(
-        &self,
-        max_attempts: u64,
-        body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>,
-    ) -> Result<T, TmError> {
-        self.read_only_attempts(max_attempts, body)
-    }
-
-    fn read_only_attempts<T>(
-        &self,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>,
-    ) -> Result<T, TmError> {
+    pub fn read_only<T>(&self, mut body: impl FnMut(&mut ReadTx<'_>) -> TxResult<T>) -> T {
         let ctx = self.current_ctx();
         let inner = &*self.inner;
         // One bracket per read-only transaction, kind-tagged: internal
         // snapshot restarts are invisible to the scheduler. The guard turns
-        // every abnormal exit (body panic, foreign access, exhausted
-        // budget) into an `on_reset`, so the bracket opened by
-        // `before_start` below is always closed.
+        // every abnormal exit (body panic, foreign access) into an
+        // `on_reset`, so the bracket opened by `before_start` below is
+        // always closed.
         let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadOnly);
-        inner.scheduler.before_start(&guard.sched_ctx());
-        let mut attempts: u64 = 0;
+        let sched = inner.sched_ctx(ctx.id(), TxnKind::ReadOnly);
+        inner.scheduler.before_start(&sched);
         let mut restarts: u32 = 0;
         loop {
-            attempts += 1;
             let mut tx = ReadTx::begin(inner, ctx.id());
             let outcome = body(&mut tx);
             let (reads, revalidations) = tx.counters();
@@ -603,19 +584,23 @@ impl TmRuntime {
             match outcome {
                 Ok(value) => {
                     ctx.ro_commits.fetch_add(1, Ordering::Relaxed);
-                    inner.scheduler.on_commit(&guard.sched_ctx(), &[], &[]);
+                    inner.scheduler.on_commit(&sched, &[], &[]);
                     guard.complete();
-                    return Ok(value);
+                    return value;
                 }
                 Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
                     let info = tx.foreign_access().expect("foreign abort carries details");
                     // Not retryable: a fresh snapshot cannot change which
-                    // runtime owns the variable. The guard fires on_reset.
-                    return Err(TmError::ForeignTVar {
-                        var: info.var,
-                        owner: info.owner,
-                        runtime: inner.id,
-                    });
+                    // runtime owns the variable. The guard fires on_reset
+                    // as the panic unwinds.
+                    panic!(
+                        "{}",
+                        TmError::ForeignTVar {
+                            var: info.var,
+                            owner: info.owner,
+                            runtime: inner.id,
+                        }
+                    );
                 }
                 Err(_) => {
                     // A concurrent writer invalidated the snapshot (or the
@@ -626,9 +611,6 @@ impl TmRuntime {
                     // pause.
                     drop(tx);
                     ctx.ro_revalidations.fetch_add(1, Ordering::Relaxed);
-                    if attempts >= max_attempts {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
                     restarts = restarts.saturating_add(1);
                     pause(inner.config.wait_policy, restarts);
                 }
@@ -636,91 +618,11 @@ impl TmRuntime {
         }
     }
 
-    /// Runs `body` until it either commits or deliberately blocks — the
-    /// building block of the cross-runtime select
-    /// ([`registry::retry_select`](crate::registry::retry_select)).
-    ///
-    /// Identical to one iteration class of [`run_attempts`]: conflict
-    /// aborts re-run internally with the usual backoff and every scheduler
-    /// hook fires exactly as in [`run`](TmRuntime::run). The difference is
-    /// the `Retry` branch: instead of parking on this runtime's waitlist,
-    /// the rolled-back attempt's wait plan is handed to the caller, who
-    /// parks one parker across *several* runtimes' waitlists.
-    ///
-    /// [`run_attempts`]: TmRuntime::run_attempts
-    pub(crate) fn run_until_block<T>(
-        &self,
-        body: &mut dyn FnMut(&mut Tx<'_>) -> TxResult<T>,
-    ) -> Result<BlockOutcome<T>, TmError> {
-        let ctx = self.current_ctx();
-        let inner = &*self.inner;
-        let mut consecutive_aborts: u32 = 0;
-        loop {
-            let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadWrite);
-            inner.scheduler.before_start(&guard.sched_ctx());
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-            let mut tx = Tx::begin(inner, &ctx);
-            let committed = match body(&mut tx) {
-                Ok(value) => tx.try_commit().map(|()| value),
-                Err(abort) => Err(abort),
-            };
-            match committed {
-                Ok(value) => {
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.commits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_commit(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnCommit);
-                    guard.complete();
-                    return Ok(BlockOutcome::Committed(value));
-                }
-                Err(abort) if abort.reason() == AbortReason::Retry => {
-                    tx.rollback();
-                    let wait_plan = tx.retry_wait_plan();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_retry_wait(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
-                    guard.complete();
-                    return Ok(BlockOutcome::Blocked(wait_plan));
-                }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    tx.rollback();
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    drop(tx);
-                    return Err(TmError::ForeignTVar {
-                        var: info.var,
-                        owner: info.owner,
-                        runtime: inner.id,
-                    });
-                }
-                Err(abort) => {
-                    tx.rollback();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_abort(&guard.sched_ctx(), &abort, &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnAbort);
-                    guard.complete();
-                    consecutive_aborts += 1;
-                    retry_backoff(
-                        inner.config.wait_policy,
-                        consecutive_aborts,
-                        inner.config.backoff_ceiling,
-                        ctx.id().as_u16() as u64,
-                    );
-                }
-            }
-        }
-    }
-
+    /// The thread-parking attempt loop behind [`run`](TmRuntime::run),
+    /// [`run_budgeted`](TmRuntime::run_budgeted) and
+    /// [`run_with_deadline`](TmRuntime::run_with_deadline): the attempt
+    /// budget, the blocking deadline, the retry park and the abort backoff
+    /// around [`attempt_once`].
     fn run_attempts<T>(
         &self,
         max_attempts: u64,
@@ -735,47 +637,15 @@ impl TmRuntime {
         let mut attempts: u64 = 0;
         loop {
             attempts += 1;
-            // Guard first, `tx` second: on an unwind the transaction rolls
-            // back (stripes released) before the guard resets the scheduler
-            // and advances the attempt epoch.
-            let guard = AttemptGuard::new(inner, &ctx, TxnKind::ReadWrite);
-            inner.scheduler.before_start(&guard.sched_ctx());
-            // Hazard probe with serialization possibly held: a panic here
-            // must release it through the guard's on_reset.
-            let _ = crate::failpoint!(FaultSite::SchedBeforeStart);
-            let mut tx = Tx::begin(inner, &ctx);
-            let committed = match body(&mut tx) {
-                Ok(value) => tx.try_commit().map(|()| value),
-                Err(abort) => Err(abort),
-            };
-            match committed {
-                Ok(value) => {
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.commits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_commit(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnCommit);
-                    guard.complete();
-                    return Ok(value);
+            match attempt_once(inner, &ctx, &mut body) {
+                AttemptOutcome::Committed(value) => return Ok(value),
+                AttemptOutcome::Foreign(err) => return Err(err),
+                _ if attempts >= max_attempts => {
+                    return Err(TmError::RetryLimitExceeded { attempts });
                 }
-                Err(abort) if abort.reason() == AbortReason::Retry => {
+                AttemptOutcome::Blocked(wait_plan) => {
                     // Deliberate blocking, not a conflict: park until a
                     // commit overwrites something the attempt read.
-                    tx.rollback();
-                    let wait_plan = tx.retry_wait_plan();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.retry_waits.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_retry_wait(&guard.sched_ctx(), &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnRetryWait);
-                    guard.complete();
-                    if attempts >= max_attempts {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
                     let round = Instant::now() + inner.config.retry_wait;
                     // A deadline-bounded run never parks past its deadline;
                     // once the deadline passed the wait degenerates to one
@@ -801,37 +671,11 @@ impl TmRuntime {
                     // is progress, not an abort storm: no backoff.
                     consecutive_aborts = 0;
                 }
-                Err(abort) if abort.reason() == AbortReason::ForeignTVar => {
-                    tx.rollback();
-                    let info = tx.foreign_access().expect("foreign abort carries details");
-                    drop(tx);
-                    // Not retryable, and not a conflict either: no abort is
-                    // booked and no completion hook fires — the guard's
-                    // on_reset closes the scheduler bracket.
-                    return Err(TmError::ForeignTVar {
-                        var: info.var,
-                        owner: info.owner,
-                        runtime: inner.id,
-                    });
-                }
-                Err(abort) => {
-                    tx.rollback();
-                    let (reads, writes) = tx.take_logs();
-                    drop(tx);
-                    ctx.aborts.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .scheduler
-                        .on_abort(&guard.sched_ctx(), &abort, &reads, &writes);
-                    let _ = crate::failpoint!(FaultSite::SchedOnAbort);
-                    guard.complete();
-                    if attempts >= max_attempts {
-                        return Err(TmError::RetryLimitExceeded { attempts });
-                    }
+                AttemptOutcome::Aborted => {
                     consecutive_aborts += 1;
                     retry_backoff(
                         inner.config.wait_policy,
                         consecutive_aborts,
-                        inner.config.backoff_ceiling,
                         ctx.id().as_u16() as u64,
                     );
                 }
@@ -884,24 +728,6 @@ impl Default for TmRuntime {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Runs `body` as a transaction on `rt`, retrying until it commits — the
-/// Haskell-STM spelling of [`TmRuntime::run`], for bodies written in the
-/// composable [`Tx::retry`] / [`Tx::or_else`] style.
-///
-/// # Examples
-///
-/// ```
-/// use shrink_stm::{atomically, TmRuntime, TVar};
-///
-/// let rt = TmRuntime::new();
-/// let v = TVar::new(41u32);
-/// atomically(&rt, |tx| tx.modify(&v, |x| x + 1));
-/// assert_eq!(v.snapshot(), 42);
-/// ```
-pub fn atomically<T>(rt: &TmRuntime, body: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
-    rt.run(body)
 }
 
 /// Drains deferred epoch garbage at a quiescent point.
@@ -1003,32 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_read_only_gives_up() {
-        let rt = TmRuntime::new();
-        let result: Result<(), _> = rt.read_only_budgeted(3, |tx| tx.restart());
-        assert_eq!(result, Err(TmError::RetryLimitExceeded { attempts: 3 }));
-        let stats = rt.stats();
-        assert_eq!(stats.aborts, 0, "read-only restarts are not aborts");
-        assert_eq!(stats.ro_commits, 0);
-    }
-
-    #[test]
-    fn budgeted_read_only_succeeds_within_budget() {
-        let rt = TmRuntime::new();
-        let v = TVar::new(11u64);
-        let mut first = true;
-        let got = rt.read_only_budgeted(2, |tx| {
-            if first {
-                first = false;
-                return tx.restart();
-            }
-            tx.read(&v)
-        });
-        assert_eq!(got, Ok(11));
-        assert_eq!(rt.stats().ro_commits, 1);
-    }
-
-    #[test]
     fn retry_blocks_until_a_commit_changes_the_read_set() {
         let rt = TmRuntime::new();
         let v = TVar::new(0u64);
@@ -1084,27 +884,20 @@ mod tests {
         let rt = TmRuntime::new();
         let a: TVar<Option<u32>> = TVar::new(None);
         let b: TVar<Option<u32>> = TVar::new(Some(5));
-        let got = rt.run_or_else(
-            |tx| match tx.read(&a)? {
-                Some(v) => Ok(v),
-                None => tx.retry(),
-            },
-            |tx| match tx.read(&b)? {
-                Some(v) => Ok(v),
-                None => tx.retry(),
-            },
-        );
+        let got = rt.run(|tx| {
+            tx.or_else(
+                |tx| match tx.read(&a)? {
+                    Some(v) => Ok(v),
+                    None => tx.retry(),
+                },
+                |tx| match tx.read(&b)? {
+                    Some(v) => Ok(v),
+                    None => tx.retry(),
+                },
+            )
+        });
         assert_eq!(got, 5);
         assert_eq!(rt.stats().retry_waits, 0, "or_else caught the retry");
-    }
-
-    #[test]
-    fn atomically_is_run() {
-        let rt = TmRuntime::new();
-        let v = TVar::new(1u32);
-        let got = atomically(&rt, |tx| tx.modify(&v, |x| x * 2).map(|()| 0));
-        assert_eq!(got, 0);
-        assert_eq!(v.snapshot(), 2);
     }
 
     #[test]
@@ -1362,8 +1155,19 @@ mod tests {
         }
         let write: Result<(), _> = rt2.run_budgeted(8, |tx| tx.write(&v, 9));
         assert!(matches!(write, Err(TmError::ForeignTVar { .. })));
-        let ro: Result<u64, _> = rt2.read_only_budgeted(8, |tx| tx.read(&v));
-        assert!(matches!(ro, Err(TmError::ForeignTVar { .. })));
+        let ro = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt2.read_only(|tx| tx.read(&v))
+        }));
+        let message = ro.expect_err("a foreign read-only access panics");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("the panic carries the rendered error");
+        let expected = TmError::ForeignTVar {
+            var: v.id(),
+            owner: rt1.id(),
+            runtime: rt2.id(),
+        };
+        assert_eq!(*message, expected.to_string());
         // The owning runtime is unaffected and keeps working.
         rt1.run(|tx| tx.modify(&v, |x| x + 1));
         assert_eq!(v.snapshot(), 2);

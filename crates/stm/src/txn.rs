@@ -50,6 +50,20 @@ use crate::thread::{ThreadCtx, ThreadId};
 use crate::tvar::{TVar, TVarInner, TxValue};
 use crate::varid::VarId;
 
+/// Pause units a reader grants a committing writer before restarting.
+const READ_SPIN_BUDGET: u32 = 512;
+/// Pause units a Tiny-backend transaction waits on a locked stripe before
+/// aborting itself (TinySTM's busy-wait window).
+const LOCK_SPIN_BUDGET: u32 = 2048;
+/// Accesses below which a Swiss transaction loses write/write conflicts
+/// without a fight (the "timid" first phase of the two-phase CM).
+const CM_TIMID_THRESHOLD: u64 = 32;
+/// Pause units a Swiss transaction waits for a killed victim to release
+/// its locks before giving up and aborting itself.
+const KILL_WAIT_BUDGET: u32 = 4096;
+/// Backed-off re-attempts Polite makes before aborting.
+const POLITE_RETRIES: u32 = 6;
+
 /// One validated read: which stripe, and the version it had when read.
 #[derive(Clone, Copy, Debug)]
 struct ReadEntry {
@@ -408,12 +422,7 @@ impl<'rt> Tx<'rt> {
     }
 
     fn sched_ctx(&self) -> SchedCtx<'_> {
-        SchedCtx {
-            thread: self.me,
-            visible: &self.rt.orecs,
-            epochs: &self.rt.registry,
-            kind: TxnKind::ReadWrite,
-        }
+        self.rt.sched_ctx(self.me, TxnKind::ReadWrite)
     }
 
     /// Builds a conflict abort against `owner`, stamping the owner's
@@ -591,7 +600,7 @@ impl<'rt> Tx<'rt> {
                     BackendKind::Swiss => {
                         if s1.committing() {
                             // Owner is installing values; wait briefly.
-                            if spins >= self.rt.config.read_spin_budget {
+                            if spins >= READ_SPIN_BUDGET {
                                 return Err(self.conflict(
                                     AbortReason::LockTimeout,
                                     var,
@@ -622,7 +631,7 @@ impl<'rt> Tx<'rt> {
                     }
                     BackendKind::Tiny => {
                         // Encounter-time locking: busy-wait for the writer.
-                        if spins >= self.rt.config.lock_spin_budget {
+                        if spins >= LOCK_SPIN_BUDGET {
                             return Err(self.conflict(
                                 AbortReason::LockTimeout,
                                 var,
@@ -745,7 +754,7 @@ impl<'rt> Tx<'rt> {
                     CmPolicy::BackendDefault => unreachable!("resolved by effective_cm"),
                     CmPolicy::Suicide => {
                         // Bounded busy-wait, then abort self.
-                        if spins >= self.rt.config.lock_spin_budget {
+                        if spins >= LOCK_SPIN_BUDGET {
                             return Err(lose(self));
                         }
                         self.contended_pause(spins, owner);
@@ -754,7 +763,7 @@ impl<'rt> Tx<'rt> {
                     }
                     CmPolicy::Polite => {
                         // Exponentially growing patience, then abort self.
-                        if polite_attempts >= self.rt.config.polite_retries {
+                        if polite_attempts >= POLITE_RETRIES {
                             return Err(lose(self));
                         }
                         let patience = 16u32 << polite_attempts.min(10);
@@ -766,8 +775,7 @@ impl<'rt> Tx<'rt> {
                     }
                     CmPolicy::TwoPhase | CmPolicy::Karma => {
                         let my_work = self.ctx.accesses();
-                        if cm == CmPolicy::TwoPhase && my_work <= self.rt.config.cm_timid_threshold
-                        {
+                        if cm == CmPolicy::TwoPhase && my_work <= CM_TIMID_THRESHOLD {
                             // Timid phase: young transactions lose quietly.
                             return Err(lose(self));
                         }
@@ -780,7 +788,7 @@ impl<'rt> Tx<'rt> {
                                     v.request_kill();
                                     requested_kill = true;
                                 }
-                                if spins >= self.rt.config.kill_wait_budget {
+                                if spins >= KILL_WAIT_BUDGET {
                                     return Err(lose(self));
                                 }
                                 self.contended_pause(spins, owner);
@@ -1101,11 +1109,10 @@ impl TxRead for Tx<'_> {
 /// can never abort one — and no writer can *force* it to block; invalidated
 /// snapshots restart quietly inside `read_only`, invisible to the
 /// schedulers. The mode is **lock-free, not wait-free**: every retry path
-/// inside a single read is bounded by `read_spin_budget`, but each restart
+/// inside a single read is bounded by `READ_SPIN_BUDGET`, but each restart
 /// is caused by a writer *committing*, so the system makes progress while
 /// an individual reader can in principle starve under a saturating writer
-/// stream (bound it with
-/// [`read_only_budgeted`](crate::TmRuntime::read_only_budgeted)).
+/// stream.
 ///
 /// Unlike the read-write path, reads go *through* non-committing write
 /// locks on **both** backends (not just Swiss): buffered writes install
@@ -1113,7 +1120,7 @@ impl TxRead for Tx<'_> {
 /// stripe still guards the committed value under its pre-lock version. The
 /// only state a reader must wait out is `committing` itself, and that wait
 /// — like the snapshot-moved and extension retry paths — is bounded by
-/// `read_spin_budget` before the reader restarts.
+/// `READ_SPIN_BUDGET` before the reader restarts.
 pub struct ReadTx<'rt> {
     rt: &'rt RuntimeInner,
     me: ThreadId,
@@ -1224,7 +1231,7 @@ impl<'rt> ReadTx<'rt> {
                 // The owner is installing values right now — the only
                 // window where the cell may hold uncommitted data. Grant it
                 // a bounded wait, then restart rather than lock or kill.
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 pause(self.rt.config.wait_policy, spins);
@@ -1236,7 +1243,7 @@ impl<'rt> ReadTx<'rt> {
             let value = tvar.inner.cell.load_in(&self.pin);
             let s2 = orec.snapshot();
             if s2 != s1 {
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 spins += 1;
@@ -1251,7 +1258,7 @@ impl<'rt> ReadTx<'rt> {
                 // entry is not in the read log yet). Re-snapshot and
                 // re-load under the advanced timestamp (TinySTM's
                 // goto-restart) instead of admitting a possibly stale pair.
-                if spins >= self.rt.config.read_spin_budget {
+                if spins >= READ_SPIN_BUDGET {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
                 spins += 1;

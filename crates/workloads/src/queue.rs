@@ -49,13 +49,13 @@ use crate::harness::TxWorkload;
 /// # Examples
 ///
 /// ```
-/// use shrink_stm::{atomically, TmRuntime};
+/// use shrink_stm::TmRuntime;
 /// use shrink_workloads::TxQueue;
 ///
 /// let rt = TmRuntime::new();
 /// let q: TxQueue<u32> = TxQueue::new(4);
-/// atomically(&rt, |tx| q.push(tx, 7));
-/// let got = atomically(&rt, |tx| q.pop(tx));
+/// rt.run(|tx| q.push(tx, 7));
+/// let got = rt.run(|tx| q.pop(tx));
 /// assert_eq!(got, 7);
 /// ```
 pub struct TxQueue<T: TxValue> {
@@ -573,7 +573,6 @@ impl fmt::Debug for AsyncQueueChurn {
 mod tests {
     use super::*;
     use crate::harness::run_fixed_steps;
-    use shrink_stm::atomically;
     use std::sync::Arc;
 
     #[test]
@@ -581,10 +580,10 @@ mod tests {
         let rt = TmRuntime::new();
         let q = TxQueue::new(3);
         for i in 0..3u64 {
-            atomically(&rt, |tx| q.push(tx, i));
+            rt.run(|tx| q.push(tx, i));
         }
         for i in 0..3u64 {
-            assert_eq!(atomically(&rt, |tx| q.pop(tx)), i);
+            assert_eq!(rt.run(|tx| q.pop(tx)), i);
         }
     }
 
@@ -592,13 +591,13 @@ mod tests {
     fn try_variants_compose_from_blocking_ones() {
         let rt = TmRuntime::new();
         let q: TxQueue<u64> = TxQueue::new(1);
-        assert_eq!(atomically(&rt, |tx| q.try_pop(tx)), None);
-        assert!(atomically(&rt, |tx| q.try_push(tx, 1)));
-        assert!(!atomically(&rt, |tx| q.try_push(tx, 2)), "full: refused");
-        assert_eq!(atomically(&rt, |tx| q.try_pop(tx)), Some(1));
+        assert_eq!(rt.run(|tx| q.try_pop(tx)), None);
+        assert!(rt.run(|tx| q.try_push(tx, 1)));
+        assert!(!rt.run(|tx| q.try_push(tx, 2)), "full: refused");
+        assert_eq!(rt.run(|tx| q.try_pop(tx)), Some(1));
         assert_eq!(rt.stats().retry_waits, 0, "or_else absorbed every retry");
-        assert_eq!(atomically(&rt, |tx| q.len(tx)), 0);
-        assert!(atomically(&rt, |tx| q.is_empty(tx)));
+        assert_eq!(rt.run(|tx| q.len(tx)), 0);
+        assert!(rt.run(|tx| q.is_empty(tx)));
     }
 
     #[test]
@@ -608,7 +607,7 @@ mod tests {
         // The fallback must observe the queue exactly as before the branch.
         let rt = TmRuntime::new();
         let q: TxQueue<u64> = TxQueue::new(2);
-        atomically(&rt, |tx| q.push(tx, 10));
+        rt.run(|tx| q.push(tx, 10));
         // Compose: push, then require the queue be empty (it is not) —
         // branch retries after writing, fallback sees pristine state.
         let len = rt.run(|tx| {
@@ -621,8 +620,8 @@ mod tests {
             )
         });
         assert_eq!(len, 1, "the retried branch's push must not leak");
-        assert_eq!(atomically(&rt, |tx| q.pop(tx)), 10);
-        assert_eq!(atomically(&rt, |tx| q.try_pop(tx)), None);
+        assert_eq!(rt.run(|tx| q.pop(tx)), 10);
+        assert_eq!(rt.run(|tx| q.try_pop(tx)), None);
     }
 
     #[test]
@@ -630,11 +629,11 @@ mod tests {
         let rt = TmRuntime::new();
         let a: TxQueue<u64> = TxQueue::new(2);
         let b: TxQueue<u64> = TxQueue::new(2);
-        atomically(&rt, |tx| b.push(tx, 5));
-        assert_eq!(atomically(&rt, |tx| a.pop_either(tx, &b)), 5);
-        atomically(&rt, |tx| a.push(tx, 1));
-        atomically(&rt, |tx| b.push(tx, 2));
-        assert_eq!(atomically(&rt, |tx| a.pop_either(tx, &b)), 1);
+        rt.run(|tx| b.push(tx, 5));
+        assert_eq!(rt.run(|tx| a.pop_either(tx, &b)), 5);
+        rt.run(|tx| a.push(tx, 1));
+        rt.run(|tx| b.push(tx, 2));
+        assert_eq!(rt.run(|tx| a.pop_either(tx, &b)), 1);
     }
 
     #[test]
@@ -644,12 +643,12 @@ mod tests {
         let consumer = {
             let rt = rt.clone();
             let q = Arc::clone(&q);
-            std::thread::spawn(move || atomically(&rt, |tx| q.pop(tx)))
+            std::thread::spawn(move || rt.run(|tx| q.pop(tx)))
         };
         while rt.retry_stats().parked_waits == 0 {
             std::thread::yield_now();
         }
-        atomically(&rt, |tx| q.push(tx, 77));
+        rt.run(|tx| q.push(tx, 77));
         assert_eq!(consumer.join().unwrap(), 77);
         assert!(rt.retry_stats().woken >= 1, "{:?}", rt.retry_stats());
     }

@@ -488,22 +488,24 @@ impl ShardedStore {
 
     /// Non-blocking booking probe on one shard: reserves and immediately
     /// releases a unit if capacity is free, declines otherwise
-    /// (`run_or_else` — the `or_else` branch fires instead of parking).
+    /// (`or_else` — the fallback branch fires instead of parking).
     pub fn try_book_one(&self, key: usize) -> BookingOutcome {
         let (s, _) = self.locate(key);
         let shard = &self.shards[s];
-        let got = shard.rt.run_or_else(
-            |tx| {
-                let cap = tx.read(&shard.capacity)?;
-                if cap == 0 {
-                    return tx.retry();
-                }
-                tx.write(&shard.capacity, cap - 1)?;
-                tx.modify(&shard.held, |h| h + 1)?;
-                Ok(true)
-            },
-            |_tx| Ok(false),
-        );
+        let got = shard.rt.run(|tx| {
+            tx.or_else(
+                |tx| {
+                    let cap = tx.read(&shard.capacity)?;
+                    if cap == 0 {
+                        return tx.retry();
+                    }
+                    tx.write(&shard.capacity, cap - 1)?;
+                    tx.modify(&shard.held, |h| h + 1)?;
+                    Ok(true)
+                },
+                |_tx| Ok(false),
+            )
+        });
         if got {
             self.release(s, 1);
             shard.rt.run(|tx| tx.modify(&shard.confirmed, |c| c + 1));

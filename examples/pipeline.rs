@@ -32,7 +32,7 @@ fn main() {
             let raw = Arc::clone(&raw);
             let squared = Arc::clone(&squared);
             std::thread::spawn(move || loop {
-                let done = atomically(&rt, |tx| {
+                let done = rt.run(|tx| {
                     let n = raw.pop(tx)?;
                     if n == STOP {
                         return Ok(true);
@@ -54,7 +54,7 @@ fn main() {
         std::thread::spawn(move || {
             let mut sum: u64 = 0;
             for _ in 0..ITEMS {
-                sum += atomically(&rt, |tx| squared.pop(tx));
+                sum += rt.run(|tx| squared.pop(tx));
             }
             sum
         })
@@ -63,11 +63,11 @@ fn main() {
     // Stage 1: the generator, blocking while the pipe is full — natural
     // backpressure, no rate control code at all.
     for n in 1..=ITEMS {
-        atomically(&rt, |tx| raw.push(tx, n));
+        rt.run(|tx| raw.push(tx, n));
     }
     // Poison the worker pool (one pill each) through the same queue.
     for _ in 0..WORKERS {
-        atomically(&rt, |tx| raw.push(tx, STOP));
+        rt.run(|tx| raw.push(tx, STOP));
     }
 
     let sum = sink.join().expect("sink panicked");

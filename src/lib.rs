@@ -30,8 +30,8 @@ pub use shrink_workloads as workloads;
 pub mod prelude {
     pub use shrink_core::{Ats, AtsConfig, Pool, SchedulerKind, Serializer, Shrink, ShrinkConfig};
     pub use shrink_stm::{
-        atomically, atomically_async, Abort, AbortReason, BackendKind, RetryStats, TArray, TVar,
-        TmRuntime, TmStats, Tx, TxFuture, TxRead, TxResult, TxScheduler, TxnKind, WaitPolicy,
+        atomically_async, Abort, AbortReason, BackendKind, RetryStats, TArray, TVar, TmRuntime,
+        TmStats, Tx, TxFuture, TxRead, TxResult, TxScheduler, TxnKind, WaitPolicy,
     };
     pub use shrink_workloads::{
         QueueMode, QueueWorkload, RbTreeWorkload, TxQueue, TxRbTree, TxWorkload,

@@ -21,7 +21,9 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use shrink::prelude::*;
-use shrink::stm::SchedCtx;
+
+mod common;
+use common::RecordingScheduler;
 
 /// A waker that only counts. `Wake::wake` and `wake_by_ref` both land here,
 /// so the count is exactly the number of wake deliveries the waitlist made.
@@ -43,49 +45,6 @@ impl Wake for CountingWaker {
 
     fn wake_by_ref(self: &Arc<Self>) {
         self.wakes.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Scheduler double recording the hooks the async path must fire: the
-/// retry-wait bracket around each suspension and the `on_reset` a
-/// cancellation must deliver.
-#[derive(Debug, Default)]
-struct RecordingScheduler {
-    starts: AtomicU64,
-    commits: AtomicU64,
-    retry_waits: AtomicU64,
-    resets: AtomicU64,
-}
-
-impl TxScheduler for RecordingScheduler {
-    fn before_start(&self, _ctx: &SchedCtx<'_>) {
-        self.starts.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_commit(
-        &self,
-        _ctx: &SchedCtx<'_>,
-        _reads: &[shrink::stm::VarId],
-        _writes: &[shrink::stm::VarId],
-    ) {
-        self.commits.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_retry_wait(
-        &self,
-        _ctx: &SchedCtx<'_>,
-        _reads: &[shrink::stm::VarId],
-        _writes: &[shrink::stm::VarId],
-    ) {
-        self.retry_waits.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_reset(&self, _ctx: &SchedCtx<'_>) {
-        self.resets.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn name(&self) -> &str {
-        "recording-async"
     }
 }
 

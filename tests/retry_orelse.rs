@@ -210,16 +210,16 @@ proptest! {
         let mut model: std::collections::VecDeque<u64> = Default::default();
         for (is_push, val) in ops {
             if is_push {
-                let accepted = atomically(&rt, |tx| q.try_push(tx, val));
+                let accepted = rt.run(|tx| q.try_push(tx, val));
                 prop_assert_eq!(accepted, model.len() < capacity);
                 if accepted {
                     model.push_back(val);
                 }
             } else {
-                let got = atomically(&rt, |tx| q.try_pop(tx));
+                let got = rt.run(|tx| q.try_pop(tx));
                 prop_assert_eq!(got, model.pop_front());
             }
-            prop_assert_eq!(atomically(&rt, |tx| q.len(tx)), model.len());
+            prop_assert_eq!(rt.run(|tx| q.len(tx)), model.len());
         }
         prop_assert!(rt.stats().retry_waits == 0, "try ops never park");
     }

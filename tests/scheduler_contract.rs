@@ -1,99 +1,107 @@
 //! The scheduler hook contract: every attempt is bracketed by
-//! `before_start` and exactly one of `on_commit`/`on_abort`/`on_retry_wait`,
-//! reads and writes are reported, and the access sets handed to the
-//! completion hooks match what the transaction did.
+//! `before_start` and exactly one of `on_commit`/`on_abort`/`on_retry_wait`
+//! (or `on_reset` when the attempt is abandoned) on every read-write entry
+//! point, and the access sets handed to the completion hooks match what
+//! the transaction did.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use futures::executor::block_on;
 use shrink::prelude::*;
-use shrink::stm::{SchedCtx, VarId};
+use shrink::stm::registry::{retry_select, SelectArm};
+use shrink::stm::TmError;
 
-#[derive(Debug, Default)]
-struct RecordingScheduler {
-    starts: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    retry_waits: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    /// Depth check: +1 on start, −1 on completion; must never exceed the
-    /// number of threads or go negative.
-    in_flight: AtomicU64,
-    last_commit_sets: Mutex<(Vec<VarId>, Vec<VarId>)>,
-    last_retry_sets: Mutex<(Vec<VarId>, Vec<VarId>)>,
+mod common;
+use common::RecordingScheduler;
+
+/// The three read-write entry points. Each must bracket attempts the
+/// same way; only what they do between attempts differs.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// `TmRuntime::run`: parks the thread on a retry.
+    Run,
+    /// A one-arm `retry_select`: parks across the arms' runtimes.
+    Select,
+    /// `atomically_async` on `block_on`: suspends the task.
+    Async,
 }
 
-impl TxScheduler for RecordingScheduler {
-    fn before_start(&self, _ctx: &SchedCtx<'_>) {
-        self.starts.fetch_add(1, Ordering::SeqCst);
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-    }
+impl Entry {
+    const ALL: [Entry; 3] = [Entry::Run, Entry::Select, Entry::Async];
 
-    fn on_read(&self, _ctx: &SchedCtx<'_>, _var: VarId) {
-        self.reads.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_write(&self, _ctx: &SchedCtx<'_>, _var: VarId) {
-        self.writes.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_commit(&self, _ctx: &SchedCtx<'_>, reads: &[VarId], writes: &[VarId]) {
-        self.commits.fetch_add(1, Ordering::SeqCst);
-        let prev = self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        assert!(prev > 0, "on_commit without matching before_start");
-        *self.last_commit_sets.lock() = (reads.to_vec(), writes.to_vec());
-    }
-
-    fn on_abort(&self, _ctx: &SchedCtx<'_>, abort: &Abort, _reads: &[VarId], _writes: &[VarId]) {
-        assert!(
-            !abort.reason().is_retry(),
-            "retry attempts must complete through on_retry_wait, not on_abort"
-        );
-        self.aborts.fetch_add(1, Ordering::SeqCst);
-        let prev = self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        assert!(prev > 0, "on_abort without matching before_start");
-    }
-
-    fn on_retry_wait(&self, _ctx: &SchedCtx<'_>, reads: &[VarId], writes: &[VarId]) {
-        self.retry_waits.fetch_add(1, Ordering::SeqCst);
-        let prev = self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        assert!(prev > 0, "on_retry_wait without matching before_start");
-        *self.last_retry_sets.lock() = (reads.to_vec(), writes.to_vec());
-    }
-
-    fn name(&self) -> &str {
-        "recording"
+    fn run<T>(self, rt: &TmRuntime, body: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
+        match self {
+            Entry::Run => rt.run(body),
+            Entry::Select => retry_select(&mut [SelectArm::new(rt, body)]).1,
+            Entry::Async => block_on(atomically_async(rt, body)),
+        }
     }
 }
 
 #[test]
 fn hooks_bracket_every_attempt() {
-    let recorder = Arc::new(RecordingScheduler::default());
-    let rt = TmRuntime::builder().scheduler_arc(recorder.clone()).build();
-    let v = TVar::new(0u64);
+    for entry in Entry::ALL {
+        let recorder = Arc::new(RecordingScheduler::default());
+        let rt = TmRuntime::builder().scheduler_arc(recorder.clone()).build();
+        let v = TVar::new(0u64);
 
-    // One clean commit.
-    rt.run(|tx| tx.modify(&v, |x| x + 1));
-    // One user restart (one abort + one commit).
-    let mut first = true;
-    rt.run(|tx| {
-        if first {
-            first = false;
-            return tx.restart();
-        }
-        tx.read(&v).map(|_| ())
-    });
+        // One clean commit.
+        entry.run(&rt, |tx| tx.modify(&v, |x| x + 1));
+        // One user restart (one abort + one commit).
+        let mut first = true;
+        entry.run(&rt, |tx| {
+            if first {
+                first = false;
+                return tx.restart();
+            }
+            tx.read(&v).map(|_| ())
+        });
 
-    assert_eq!(recorder.starts.load(Ordering::SeqCst), 3);
-    assert_eq!(recorder.commits.load(Ordering::SeqCst), 2);
-    assert_eq!(recorder.aborts.load(Ordering::SeqCst), 1);
-    assert_eq!(recorder.in_flight.load(Ordering::SeqCst), 0);
-    // Runtime statistics agree with the hooks.
-    let stats = rt.stats();
-    assert_eq!(stats.commits, 2);
-    assert_eq!(stats.aborts, 1);
+        assert_eq!(recorder.starts.load(Ordering::SeqCst), 3, "{entry:?}");
+        assert_eq!(recorder.commits.load(Ordering::SeqCst), 2, "{entry:?}");
+        assert_eq!(recorder.aborts.load(Ordering::SeqCst), 1, "{entry:?}");
+        assert_eq!(recorder.resets.load(Ordering::SeqCst), 0, "{entry:?}");
+        assert_eq!(recorder.in_flight.load(Ordering::SeqCst), 0, "{entry:?}");
+        // Runtime statistics agree with the hooks.
+        let stats = rt.stats();
+        assert_eq!(stats.commits, 2, "{entry:?}");
+        assert_eq!(stats.aborts, 1, "{entry:?}");
+    }
+}
+
+#[test]
+fn foreign_tvar_access_closes_the_bracket_with_one_reset() {
+    for entry in Entry::ALL {
+        let owner = TmRuntime::new();
+        let recorder = Arc::new(RecordingScheduler::default());
+        let rt = TmRuntime::builder().scheduler_arc(recorder.clone()).build();
+        let v = TVar::new(0u64);
+        owner.run(|tx| tx.write(&v, 1));
+
+        let got = catch_unwind(AssertUnwindSafe(|| entry.run(&rt, |tx| tx.read(&v))));
+        let message = got.expect_err("a foreign access panics");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("the panic carries the rendered error");
+        let expected = TmError::ForeignTVar {
+            var: v.id(),
+            owner: owner.id(),
+            runtime: rt.id(),
+        };
+        assert_eq!(*message, expected.to_string(), "{entry:?}");
+
+        // Not a conflict and not a completion: the guard's on_reset is the
+        // only hook that closes the bracket.
+        assert_eq!(recorder.starts.load(Ordering::SeqCst), 1, "{entry:?}");
+        assert_eq!(recorder.resets.load(Ordering::SeqCst), 1, "{entry:?}");
+        assert_eq!(recorder.commits.load(Ordering::SeqCst), 0, "{entry:?}");
+        assert_eq!(recorder.aborts.load(Ordering::SeqCst), 0, "{entry:?}");
+        assert_eq!(recorder.retry_waits.load(Ordering::SeqCst), 0, "{entry:?}");
+        assert_eq!(recorder.in_flight.load(Ordering::SeqCst), 0, "{entry:?}");
+        assert_eq!(rt.stats().aborts, 0, "{entry:?}: no abort is booked");
+    }
 }
 
 #[test]
